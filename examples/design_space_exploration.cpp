@@ -32,20 +32,17 @@ int main() {
     std::printf("Dynamic-power MAPE on atax: %.2f%%\n",
                 pg.evaluate_mape(dataset::pool_of(suite[target])));
 
-    // The Explorer scores every candidate concurrently with the trained
-    // estimator (exact latency comes from HLS, truth from the board) before
-    // running the sequential refinement loop.
+    // The Explorer scores every candidate with one batched estimate from the
+    // trained estimator (exact latency comes from HLS, truth from the board)
+    // before running the sequential refinement loop.
     const auto& ds = suite[target];
     const core::SamplePool candidates = dataset::pool_of(ds);
-    const auto predictor = [&pg](const dataset::Sample& s) {
-        return pg.estimate(s);
-    };
 
     for (double budget : {0.2, 0.3, 0.4}) {
         dse::ExplorerConfig cfg;
         cfg.total_budget = budget;
         const dse::DseResult res =
-            dse::Explorer(cfg).run(candidates, predictor);
+            dse::Explorer(cfg).run(candidates, pg);
         std::printf("budget %2.0f%%: sampled %2zu/%d designs, ADRS %.4f, "
                     "frontier %zu points\n",
                     budget * 100, res.sampled.size(), ds.size(), res.adrs_value,
@@ -53,7 +50,7 @@ int main() {
     }
 
     const dse::DseResult full =
-        dse::Explorer({0.02, 1.0, 5}).run(candidates, predictor);
+        dse::Explorer({0.02, 1.0, 5}).run(candidates, pg);
     std::printf("(exhaustive sampling reaches ADRS %.4f by construction)\n",
                 full.adrs_value);
     return 0;

@@ -4,10 +4,8 @@
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
-#include "gnn/serialize.hpp"
 #include "io/serial.hpp"
 #include "obs/obs.hpp"
-#include "util/parallel.hpp"
 
 namespace powergear::core {
 
@@ -160,31 +158,21 @@ std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples) const
         throw std::logic_error("PowerGear::estimate_batch before fit");
     const obs::Scope obs_scope(obs::Phase::EstimateBatch);
     obs::add(obs::Phase::EstimateBatch, "estimates", samples.size());
-    if (gnn::batching_enabled()) {
-        // Fused path: the pool is merged into block-diagonal chunks and each
-        // ensemble member runs one batched forward per chunk (see
-        // Ensemble::predict_stats_batch for the determinism argument).
-        std::vector<const gnn::GraphTensors*> graphs;
-        graphs.reserve(samples.size());
-        for (std::size_t i = 0; i < samples.size(); ++i)
-            graphs.push_back(&samples[i].tensors);
-        const std::vector<gnn::Ensemble::Stats> stats =
-            ensemble_.predict_stats_batch(graphs);
-        std::vector<Estimate> out;
-        out.reserve(stats.size());
-        for (const gnn::Ensemble::Stats& st : stats)
-            out.push_back(Estimate{static_cast<double>(st.mean),
-                                   static_cast<double>(st.spread)});
-        return out;
-    }
-    // Oracle path (POWERGEAR_BATCHED=0): per-sample forwards. predict_stats
-    // only reads member weights, so samples fan out freely; slot-per-task
-    // assignment keeps the order identical to a serial run.
-    return util::parallel_map<Estimate>(samples.size(), [&](std::size_t i) {
-        const gnn::Ensemble::Stats st = ensemble_.predict_stats(samples[i].tensors);
-        return Estimate{static_cast<double>(st.mean),
-                        static_cast<double>(st.spread)};
-    });
+    // The pool is merged into block-diagonal chunks and each ensemble member
+    // runs one batched forward per chunk (see Ensemble::predict_stats_batch
+    // for the determinism argument).
+    std::vector<const gnn::GraphTensors*> graphs;
+    graphs.reserve(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        graphs.push_back(&samples[i].tensors);
+    const std::vector<gnn::Ensemble::Stats> stats =
+        ensemble_.predict_stats_batch(graphs);
+    std::vector<Estimate> out;
+    out.reserve(stats.size());
+    for (const gnn::Ensemble::Stats& st : stats)
+        out.push_back(Estimate{static_cast<double>(st.mean),
+                               static_cast<double>(st.spread)});
+    return out;
 }
 
 std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples,
@@ -206,11 +194,11 @@ std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples,
 
 void PowerGear::save(const std::string& path) const {
     if (!fitted_) throw std::logic_error("PowerGear::save before fit");
-    gnn::save_ensemble_file(path, ensemble_);
+    io::save_ensemble_file(path, ensemble_);
 }
 
 void PowerGear::load(const std::string& path) {
-    ensemble_ = gnn::load_ensemble_file(path);
+    ensemble_ = io::load_ensemble_file(path);
     fitted_ = ensemble_.num_members() > 0;
 }
 

@@ -98,8 +98,9 @@ public:
     /// Persist the trained ensemble to a file as a powergear-art-v1 "model"
     /// artifact (bit-exact round trip).
     void save(const std::string& path) const;
-    /// Load a previously saved ensemble (artifact or legacy text format);
-    /// the estimator becomes ready to use.
+    /// Load an ensemble saved by save(); the estimator becomes ready to use.
+    /// Throws std::runtime_error on any file that is not a valid model
+    /// artifact.
     void load(const std::string& path);
 
     const Options& options() const { return opts_; }

@@ -4,38 +4,9 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace powergear::dse {
-
-DseResult Explorer::run(
-    const core::SamplePool& candidates,
-    const std::function<double(const dataset::Sample&)>& power,
-    dataset::PowerKind kind) const {
-    if (!power) throw std::invalid_argument("Explorer::run: null predictor");
-    const obs::Scope obs_scope(obs::Phase::Dse);
-    obs::add(obs::Phase::Dse, "candidates", candidates.size());
-    // Candidate scoring is the expensive half (one ensemble inference per
-    // design point); fan it out. Truth points are cheap field reads.
-    const std::vector<Point> predicted = util::parallel_map<Point>(
-        candidates.size(), [&](std::size_t i) {
-            const dataset::Sample& s = candidates[i];
-            return Point{static_cast<double>(s.latency_cycles),
-                         power(s), static_cast<int>(i)};
-        });
-    std::vector<Point> truth;
-    truth.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const dataset::Sample& s = candidates[i];
-        truth.push_back(Point{static_cast<double>(s.latency_cycles),
-                              static_cast<double>(s.label(kind)),
-                              static_cast<int>(i)});
-    }
-    DseResult res = explore(predicted, truth, cfg_);
-    obs::add(obs::Phase::Dse, "designs_sampled", res.sampled.size());
-    return res;
-}
 
 DseResult Explorer::run(const core::SamplePool& candidates,
                         const core::PowerGear& estimator,

@@ -10,14 +10,13 @@
 // exact frontier of the full space.
 //
 // Explorer is the batch-first front end: hand it the candidate design points
-// (a core::SamplePool) and a power predictor, and it evaluates every
-// candidate concurrently on the util::parallel pool before running the
-// (inherently sequential) refinement loop. The point-level explore()
-// function remains the deterministic core.
+// (a core::SamplePool) and a trained PowerGear, and it scores every
+// candidate with one estimate_batch call before running the (inherently
+// sequential) refinement loop. The point-level explore() function is the
+// deterministic core, and serves predictors scored elsewhere.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/powergear.hpp"
@@ -48,27 +47,13 @@ class Explorer {
 public:
     explicit Explorer(ExplorerConfig cfg = {}) : cfg_(cfg) {}
 
-    /// Score every candidate concurrently with `power` (e.g. a bound
-    /// PowerGear::estimate — it must be safe to call from several threads),
-    /// take exact latency and the ground-truth label from the samples, then
-    /// run the refinement loop. Results are bit-identical at any job count.
-    DseResult run(const core::SamplePool& candidates,
-                  const std::function<double(const dataset::Sample&)>& power,
-                  dataset::PowerKind kind = dataset::PowerKind::Dynamic) const;
-
-    /// Batch-first form: score every candidate with one
-    /// PowerGear::estimate_batch call (the staged pipeline's inference
-    /// stage) instead of a point-wise callback. Same result, one obs-visible
-    /// estimate_batch fan-out.
+    /// Score every candidate with one PowerGear::estimate_batch call (the
+    /// staged pipeline's inference stage), take exact latency and the
+    /// ground-truth label from the samples, then run the refinement loop.
+    /// Results are bit-identical at any job count.
     DseResult run(const core::SamplePool& candidates,
                   const core::PowerGear& estimator,
                   dataset::PowerKind kind = dataset::PowerKind::Dynamic) const;
-
-    /// Precomputed-points form, for predictors scored elsewhere.
-    DseResult run(const std::vector<Point>& predicted,
-                  const std::vector<Point>& truth) const {
-        return explore(predicted, truth, cfg_);
-    }
 
     const ExplorerConfig& config() const { return cfg_; }
 

@@ -3,16 +3,9 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "util/env.hpp"
-
 namespace powergear::gnn {
 
 namespace {
-
-bool& batching_slot() {
-    static bool on = util::env_int("POWERGEAR_BATCHED", 1) != 0;
-    return on;
-}
 
 /// Append src's rows to dst starting at row_offset (dst preallocated).
 void copy_rows(nn::Tensor& dst, const nn::Tensor& src, int row_offset) {
@@ -27,9 +20,6 @@ void append_offset(std::vector<int>& out, const std::vector<int>& idx,
 }
 
 } // namespace
-
-bool batching_enabled() { return batching_slot(); }
-void set_batching(bool on) { batching_slot() = on; }
 
 GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
     if (graphs.empty())

@@ -14,10 +14,14 @@
 //   graph_id[r]      owning graph of merged node row r (ascending)
 //   edge offsetting  merged_idx = local_idx + node_offset[graph]
 //
-// Numerics: on the ref backend a batched forward is bit-identical per
-// sample to the unbatched forward; on the blocked backend the tiling and
-// sparsity decisions see the whole batch, so results are only guaranteed
-// within the documented <=1e-5 relative envelope (DESIGN.md §10/§13).
+// This is the model's only input form: PowerModel::predict on one graph
+// runs a batch of one that borrows the graph's tensors.
+//
+// Numerics: a batch of one is bit-identical to PowerModel::predict on
+// every backend; in larger batches the blocked backend's tiling and
+// sparsity decisions see the whole batch, so per-graph results are only
+// guaranteed within the documented <=1e-5 relative envelope
+// (DESIGN.md §10/§13).
 #pragma once
 
 #include <span>
@@ -26,15 +30,6 @@
 #include "gnn/convs.hpp"
 
 namespace powergear::gnn {
-
-/// Whether the fused batched forward is active for minibatch training and
-/// estimate_batch. Resolved once from POWERGEAR_BATCHED (default on; set to
-/// 0 to force the per-graph oracle path) unless set_batching overrode it.
-/// (POWERGEAR_BATCH, without the D, is the bench-scale minibatch size.)
-bool batching_enabled();
-
-/// Override the batching mode at runtime (tests, parity harnesses).
-void set_batching(bool on);
 
 /// Largest batch one fused forward covers when a caller chunks an
 /// arbitrarily long sample list (evaluate_mape, estimate_batch). Bounds

@@ -67,6 +67,22 @@ std::unique_ptr<PowerModel> train_member(
     return model;
 }
 
+/// Mean and population stddev of nm member predictions pred(0..nm-1),
+/// accumulated in double in ascending member order.
+template <typename Pred>
+Ensemble::Stats member_stats(std::size_t nm, Pred pred) {
+    double mean = 0.0;
+    for (std::size_t m = 0; m < nm; ++m) mean += pred(m);
+    mean /= static_cast<double>(nm);
+    double var = 0.0;
+    for (std::size_t m = 0; m < nm; ++m) {
+        const double p = pred(m);
+        var += (p - mean) * (p - mean);
+    }
+    var /= static_cast<double>(nm);
+    return {static_cast<float>(mean), static_cast<float>(std::sqrt(var))};
+}
+
 } // namespace
 
 void Ensemble::fit(std::span<const GraphTensors* const> graphs,
@@ -134,29 +150,16 @@ void Ensemble::adopt(std::vector<std::unique_ptr<PowerModel>> members) {
 }
 
 float Ensemble::predict(const GraphTensors& g) const {
-    if (members_.empty()) throw std::logic_error("Ensemble::predict before fit");
-    double s = 0.0;
-    nn::Tape t; // one arena shared across members
-    for (const auto& m : members_) s += m->predict(g, t);
-    return static_cast<float>(s / static_cast<double>(members_.size()));
+    return predict_stats(g).mean;
 }
 
 Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
     if (members_.empty()) throw std::logic_error("Ensemble::predict before fit");
-    std::vector<double> preds;
+    std::vector<float> preds;
     preds.reserve(members_.size());
-    nn::Tape t;
+    nn::Tape t; // one arena shared across members
     for (const auto& m : members_) preds.push_back(m->predict(g, t));
-    double mean = 0.0;
-    for (double p : preds) mean += p;
-    mean /= static_cast<double>(preds.size());
-    double var = 0.0;
-    for (double p : preds) var += (p - mean) * (p - mean);
-    var /= static_cast<double>(preds.size());
-    Stats st;
-    st.mean = static_cast<float>(mean);
-    st.spread = static_cast<float>(std::sqrt(var));
-    return st;
+    return member_stats(preds.size(), [&](std::size_t m) { return preds[m]; });
 }
 
 std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
@@ -198,24 +201,10 @@ std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
     std::vector<Stats> out(graphs.size());
     for (std::size_t c = 0; c < nchunks; ++c) {
         const std::size_t base = c * chunk;
-        const int bn = batches[c].num_graphs;
-        for (int i = 0; i < bn; ++i) {
-            double mean = 0.0;
-            for (std::size_t m = 0; m < nm; ++m)
-                mean += preds[c * nm + m][static_cast<std::size_t>(i)];
-            mean /= static_cast<double>(nm);
-            double var = 0.0;
-            for (std::size_t m = 0; m < nm; ++m) {
-                const double p =
-                    preds[c * nm + m][static_cast<std::size_t>(i)];
-                var += (p - mean) * (p - mean);
-            }
-            var /= static_cast<double>(nm);
-            Stats st;
-            st.mean = static_cast<float>(mean);
-            st.spread = static_cast<float>(std::sqrt(var));
-            out[base + static_cast<std::size_t>(i)] = st;
-        }
+        const auto bn = static_cast<std::size_t>(batches[c].num_graphs);
+        for (std::size_t i = 0; i < bn; ++i)
+            out[base + i] = member_stats(
+                nm, [&](std::size_t m) { return preds[c * nm + m][i]; });
     }
     return out;
 }

@@ -42,7 +42,7 @@ public:
     void fit(std::span<const GraphTensors* const> graphs,
              std::span<const float> targets, const EnsembleConfig& cfg);
 
-    /// Average member predictions.
+    /// Average member predictions (predict_stats(g).mean).
     float predict(const GraphTensors& g) const;
 
     /// Average plus member spread in one pass over the members.
@@ -58,8 +58,9 @@ public:
     std::vector<Stats> predict_stats_batch(
         std::span<const GraphTensors* const> graphs) const;
 
-    /// MAPE (%) against targets; per-sample predictions fan out over the
-    /// parallel pool, the reduction order stays fixed (bit-identical).
+    /// MAPE (%) against targets. Each sample is scored as its own batch of
+    /// one; samples fan out over the parallel pool and the reduction order
+    /// stays fixed (bit-identical).
     double evaluate_mape(std::span<const GraphTensors* const> graphs,
                          std::span<const float> targets) const;
 
@@ -67,7 +68,7 @@ public:
 
     /// Non-owning member access (persistence, inspection).
     std::vector<PowerModel*> members() const;
-    /// Replace the member set (used by gnn/serialize when loading).
+    /// Replace the member set (used by io::decode_ensemble when loading).
     void adopt(std::vector<std::unique_ptr<PowerModel>> members);
 
 private:

@@ -64,7 +64,13 @@ std::vector<nn::Param*> PowerModel::params() {
     return out;
 }
 
-int PowerModel::forward(nn::Tape& t, const GraphTensors& g, bool training) {
+int PowerModel::forward(nn::Tape& t, const GraphTensors& g,
+                        std::span<const int> graph_id, int num_graphs,
+                        bool training) {
+    // Width checks only (per-graph shape checks happened when each sample's
+    // tensors were built). The conv layers are index-local, so they run on a
+    // block-diagonal batch unchanged; only the readout needs the graph_id
+    // segmentation.
     if (analysis::checks_enabled()) {
         analysis::Report r = analysis::check_model_inputs(
             cfg_.node_dim, cfg_.metadata_dim, cfg_.edge_dim, cfg_.metadata, g);
@@ -77,11 +83,11 @@ int PowerModel::forward(nn::Tape& t, const GraphTensors& g, bool training) {
         if (cfg_.dropout > 0.0f)
             h = t.dropout(h, cfg_.dropout, rng_, training);
         if (cfg_.jumping_knowledge) {
-            const int layer_pool = t.sum_rows(h);
+            const int layer_pool = t.segment_sum(h, graph_id, num_graphs);
             pooled = pooled < 0 ? layer_pool : t.add(pooled, layer_pool);
         }
     }
-    if (!cfg_.jumping_knowledge) pooled = t.sum_rows(h);
+    if (!cfg_.jumping_knowledge) pooled = t.segment_sum(h, graph_id, num_graphs);
     // Tame the sum-pooled magnitude (graphs have O(100) nodes) so the head
     // starts near the warm-started output bias; the constant keeps the
     // graph-size signal Eq. (6)'s sum pooling carries.
@@ -95,57 +101,26 @@ int PowerModel::forward(nn::Tape& t, const GraphTensors& g, bool training) {
     return head_->forward(t, holistic);
 }
 
-int PowerModel::forward_batch(nn::Tape& t, const GraphBatch& b,
-                              bool training) {
-    // Width checks run on the merged tensors (check_model_inputs validates
-    // column widths only; per-graph shape checks happened when each sample's
-    // tensors were built). The conv layers are index-local, so they run on
-    // the block-diagonal batch unchanged; only the readout needs the
-    // graph_id segmentation.
-    if (analysis::checks_enabled()) {
-        analysis::Report r = analysis::check_model_inputs(
-            cfg_.node_dim, cfg_.metadata_dim, cfg_.edge_dim, cfg_.metadata,
-            b.g);
-        analysis::require_clean(r, "PowerModel::forward_batch");
-    }
-    const std::span<const int> seg(b.graph_id);
-    int h = t.input_view(b.g.x);
-    int pooled = -1;
-    for (auto& conv : convs_) {
-        h = conv->forward(t, b.g, h);
-        if (cfg_.dropout > 0.0f)
-            h = t.dropout(h, cfg_.dropout, rng_, training);
-        if (cfg_.jumping_knowledge) {
-            const int layer_pool = t.segment_sum(h, seg, b.num_graphs);
-            pooled = pooled < 0 ? layer_pool : t.add(pooled, layer_pool);
-        }
-    }
-    if (!cfg_.jumping_knowledge) pooled = t.segment_sum(h, seg, b.num_graphs);
-    pooled = t.scale(pooled, 1.0f / 32.0f);
-
-    int holistic = pooled;
-    if (cfg_.metadata) {
-        const int hm = meta_fc_->forward_relu(t, t.input_view(b.g.metadata));
-        holistic = t.concat_cols(pooled, hm);
-    }
-    return head_->forward(t, holistic);
-}
-
 float PowerModel::predict(const GraphTensors& g) {
     nn::Tape t;
     return predict(g, t);
 }
 
 float PowerModel::predict(const GraphTensors& g, nn::Tape& t) {
+    // A batch of one that borrows g: every row belongs to graph 0. The ids
+    // only need to outlive this forward, since inference never runs
+    // backward through the tape.
+    const std::vector<int> graph_id(static_cast<std::size_t>(g.num_nodes), 0);
     t.reset();
-    const int out = forward(t, g, /*training=*/false);
+    const int out = forward(t, g, graph_id, 1, /*training=*/false);
     return t.value(out).at(0, 0);
 }
 
 std::vector<float> PowerModel::predict_batch(const GraphBatch& b,
                                              nn::Tape& t) {
     t.reset();
-    const int out = forward_batch(t, b, /*training=*/false);
+    const int out = forward(t, b.g, b.graph_id, b.num_graphs,
+                            /*training=*/false);
     const nn::Tensor& v = t.value(out);
     std::vector<float> preds(static_cast<std::size_t>(b.num_graphs));
     for (int i = 0; i < b.num_graphs; ++i)
@@ -174,26 +149,17 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
         ys.reserve(end - start);
         for (std::size_t i = start; i < end; ++i)
             ys.push_back(targets[static_cast<std::size_t>(order[i])]);
-        // The fused path assembles the minibatch block-diagonally and runs
-        // one forward; the batch must stay alive through backward() (the
-        // tape borrows its node features and graph ids).
-        GraphBatch batch;
-        int loss;
-        if (batching_enabled()) {
-            std::vector<const GraphTensors*> members;
-            members.reserve(end - start);
-            for (std::size_t i = start; i < end; ++i)
-                members.push_back(graphs[static_cast<std::size_t>(order[i])]);
-            batch = GraphBatch::assemble(members);
-            const int preds = forward_batch(t, batch, true);
-            loss = t.mape_loss_rows(preds, ys);
-        } else {
-            std::vector<int> preds;
-            for (std::size_t i = start; i < end; ++i)
-                preds.push_back(forward(
-                    t, *graphs[static_cast<std::size_t>(order[i])], true));
-            loss = t.mape_loss(preds, ys);
-        }
+        // The minibatch runs as one block-diagonal forward; the batch must
+        // stay alive through backward() (the tape borrows its node features
+        // and graph ids).
+        std::vector<const GraphTensors*> members;
+        members.reserve(end - start);
+        for (std::size_t i = start; i < end; ++i)
+            members.push_back(graphs[static_cast<std::size_t>(order[i])]);
+        const GraphBatch batch = GraphBatch::assemble(members);
+        const int preds =
+            forward(t, batch.g, batch.graph_id, batch.num_graphs, true);
+        const int loss = t.mape_loss_rows(preds, ys);
         adam_->zero_grad();
         t.backward(loss);
         // Catch exploding/NaN gradients before the optimizer folds them into
@@ -215,24 +181,15 @@ double PowerModel::evaluate_mape(const std::vector<const GraphTensors*>& graphs,
     if (graphs.empty()) return 0.0;
     double s = 0.0;
     nn::Tape t;
-    if (batching_enabled()) {
-        const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
-        for (std::size_t start = 0; start < graphs.size(); start += chunk) {
-            const std::size_t n = std::min(chunk, graphs.size() - start);
-            const GraphBatch b = GraphBatch::assemble(
-                std::span<const GraphTensors* const>(graphs.data() + start,
-                                                     n));
-            const std::vector<float> preds = predict_batch(b, t);
-            for (std::size_t i = 0; i < n; ++i)
-                s += std::abs(preds[i] - targets[start + i]) /
-                     std::max(1e-9f, std::abs(targets[start + i]));
-        }
-    } else {
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            const float p = predict(*graphs[i], t);
-            s += std::abs(p - targets[i]) /
-                 std::max(1e-9f, std::abs(targets[i]));
-        }
+    const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
+    for (std::size_t start = 0; start < graphs.size(); start += chunk) {
+        const std::size_t n = std::min(chunk, graphs.size() - start);
+        const GraphBatch b = GraphBatch::assemble(
+            std::span<const GraphTensors* const>(graphs.data() + start, n));
+        const std::vector<float> preds = predict_batch(b, t);
+        for (std::size_t i = 0; i < n; ++i)
+            s += std::abs(preds[i] - targets[start + i]) /
+                 std::max(1e-9f, std::abs(targets[start + i]));
     }
     return 100.0 * s / static_cast<double>(graphs.size());
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gnn/batch.hpp"
@@ -43,7 +44,8 @@ class PowerModel {
 public:
     explicit PowerModel(const ModelConfig& cfg);
 
-    /// Inference (no dropout). Returns the power estimate in watts.
+    /// Inference (no dropout) on a batch of one that borrows g (no tensor
+    /// copies). Returns the power estimate in watts.
     float predict(const GraphTensors& g);
     /// Inference reusing a caller-owned tape (resets it first) so repeated
     /// predictions share one grown-once arena instead of reallocating.
@@ -51,15 +53,13 @@ public:
 
     /// Fused batched inference over a pre-assembled block-diagonal batch:
     /// one forward pass, one estimate per member graph (in batch order).
-    /// The batch must outlive the tape's use up to its next reset(). On the
-    /// ref backend each result is bit-identical to predict() on the same
-    /// graph; on blocked they agree within 1e-5 relative (DESIGN.md §13).
+    /// The batch must outlive the tape's use up to its next reset(). Each
+    /// result agrees with predict() on the same graph within 1e-5 relative
+    /// on every backend; a batch of one is bit-identical (DESIGN.md §13).
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.
-    /// With batching_enabled() each minibatch runs as one fused
-    /// block-diagonal forward; otherwise graphs run one at a time (the
-    /// oracle path).
+    /// Each minibatch runs as one fused block-diagonal forward/backward.
     double train_epoch(const std::vector<const GraphTensors*>& graphs,
                        const std::vector<float>& targets, int batch_size);
 
@@ -75,9 +75,11 @@ public:
     const ModelConfig& config() const { return cfg_; }
 
 private:
-    int forward(nn::Tape& t, const GraphTensors& g, bool training);
-    /// Batched forward over a merged batch; returns a (num_graphs, 1) node.
-    int forward_batch(nn::Tape& t, const GraphBatch& b, bool training);
+    /// The one forward: conv stack over g's (possibly block-diagonal)
+    /// tensors, per-graph sum pooling over graph_id, then the head. Returns
+    /// a (num_graphs, 1) node; graph_id is borrowed like g.
+    int forward(nn::Tape& t, const GraphTensors& g,
+                std::span<const int> graph_id, int num_graphs, bool training);
 
     ModelConfig cfg_;
     util::Rng rng_;

@@ -64,10 +64,6 @@ std::optional<ArtifactInfo> parse_header(const std::uint8_t* p, std::size_t n) {
 
 } // namespace
 
-bool is_artifact_magic(const void* data, std::size_t n) {
-    return n >= sizeof kMagic && std::memcmp(data, kMagic, sizeof kMagic) == 0;
-}
-
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t seed) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     std::uint64_t h = seed;

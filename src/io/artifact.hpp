@@ -110,10 +110,6 @@ struct ArtifactInfo {
 /// Size in bytes of the fixed artifact header.
 constexpr std::size_t kHeaderSize = 40;
 
-/// True when `data` begins with the powergear-art-v1 magic. Format sniffing
-/// for readers that also accept legacy (pre-artifact) files.
-bool is_artifact_magic(const void* data, std::size_t n);
-
 /// Frame a payload: prepend the powergear-art-v1 header (stage tag at most
 /// 8 ASCII bytes, zero padded) with the payload's checksum.
 std::vector<std::uint8_t> frame(const std::string& stage,

@@ -296,20 +296,6 @@ int Tape::concat_cols(int a, int b) {
     });
 }
 
-int Tape::sum_rows(int x) {
-    const Tensor& xv = value(x);
-    const std::size_t cols = static_cast<std::size_t>(xv.cols());
-    Tensor out = make(1, xv.cols());
-    for (int r = 0; r < xv.rows(); ++r) k::vacc(cols, xv.row(r), out.row(0));
-    return push(std::move(out), [x](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        Tensor& xg = t.grad_buf(x);
-        const std::size_t c = static_cast<std::size_t>(g.cols());
-        for (int r = 0; r < xg.rows(); ++r) k::vacc(c, g.row(0), xg.row(r));
-    });
-}
-
 int Tape::segment_sum_impl(int x, std::span<const int> seg, int num_segs,
                            std::shared_ptr<const void> keep) {
     const Tensor& xv = value(x);
@@ -385,35 +371,6 @@ int Tape::scale(int x, float s) {
         float* xd = t.grad_buf(x).data();
         const float* gd = g.data();
         for (std::size_t i = 0; i < g.size(); ++i) xd[i] += gd[i] * s;
-    });
-}
-
-int Tape::mape_loss(const std::vector<int>& preds,
-                    const std::vector<float>& targets) {
-    if (preds.size() != targets.size() || preds.empty())
-        throw std::invalid_argument("Tape::mape_loss: size mismatch");
-    double loss = 0.0;
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-        const float p = value(preds[i]).at(0, 0);
-        const float y = targets[i];
-        if (std::abs(y) < 1e-9f)
-            throw std::invalid_argument("Tape::mape_loss: zero target");
-        loss += std::abs(p - y) / std::abs(y);
-    }
-    Tensor out = make(1, 1);
-    out.at(0, 0) = static_cast<float>(loss / static_cast<double>(preds.size()));
-    auto ps = std::make_shared<std::vector<int>>(preds);
-    auto ts = std::make_shared<std::vector<float>>(targets);
-    return push(std::move(out), [ps, ts](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        const float gs = g.at(0, 0) / static_cast<float>(ps->size());
-        for (std::size_t i = 0; i < ps->size(); ++i) {
-            const float p = t.value((*ps)[i]).at(0, 0);
-            const float y = (*ts)[i];
-            const float sign = p >= y ? 1.0f : -1.0f;
-            t.grad_buf((*ps)[i]).at(0, 0) += gs * sign / std::abs(y);
-        }
     });
 }
 

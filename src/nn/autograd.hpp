@@ -88,11 +88,9 @@ public:
     int scale_rows(int x, std::span<const float> weights);
     int scale_rows(int x, std::vector<float> weights);
     int concat_cols(int a, int b);
-    /// Column-wise sum: (n,d) -> (1,d); the sum-pooling readout.
-    int sum_rows(int x);
     /// Segmented column-wise sum: (n,d) -> (num_segs,d), row r accumulated
-    /// into output row seg[r] in ascending row order (a one-segment call is
-    /// bit-identical to sum_rows). seg values must lie in [0, num_segs).
+    /// into output row seg[r] in ascending row order; the sum-pooling
+    /// readout. seg values must lie in [0, num_segs).
     /// The span overload borrows the ids (lifetime as input_view); the
     /// vector overload takes ownership.
     int segment_sum(int x, std::span<const int> seg, int num_segs);
@@ -102,11 +100,9 @@ public:
     int segment_mean(int x, std::vector<int> seg, int num_segs);
     int scale(int x, float s);
 
-    /// Mean absolute percentage error over scalar (1,1) prediction nodes.
-    /// Returns a scalar (1,1) loss node. Targets must be nonzero.
-    int mape_loss(const std::vector<int>& preds, const std::vector<float>& targets);
-    /// MAPE over the B rows of one (B,1) prediction node — the batched
-    /// readout form. Same arithmetic order as mape_loss over B scalar nodes.
+    /// Mean absolute percentage error over the B rows of one (B,1)
+    /// prediction node (the batched readout). Returns a scalar (1,1) loss
+    /// node. Targets must be nonzero.
     int mape_loss_rows(int preds, const std::vector<float>& targets);
 
     void backward(int node);

@@ -94,8 +94,8 @@ void gather_matmul_ref_impl(int e, int k, int n, const float* x,
 
 // --- segmented reductions ----------------------------------------------------
 // Ascending-row accumulation into the destination segment row. With one
-// segment this is exactly the vacc row loop, which is what makes the batched
-// readout bit-identical to the unbatched sum_rows pooling on this backend.
+// segment this is exactly a plain vacc loop over all rows: the readout of a
+// single graph.
 
 void segment_sum_ref_impl(int rows, int cols, const float* x, const int* seg,
                           int num_segs, float* out) {

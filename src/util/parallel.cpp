@@ -155,23 +155,24 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
 
     const int helpers = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(pool->threads()), n - 1));
-    std::atomic<int> pending{helpers};
+    // `pending` is only touched under done_mutex, and the last helper
+    // notifies while still holding it. The submitter can therefore only see
+    // zero, return and free this frame after that helper has released the
+    // lock and stopped touching done_mutex/done_cv.
+    int pending = helpers;
     std::mutex done_mutex;
     std::condition_variable done_cv;
     for (int k = 0; k < helpers; ++k) {
         pool->submit([&] {
             drain();
-            if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_one();
-            }
+            std::lock_guard<std::mutex> lock(done_mutex);
+            if (--pending == 0) done_cv.notify_one();
         });
     }
     drain(); // the submitting thread participates
     {
         std::unique_lock<std::mutex> lock(done_mutex);
-        done_cv.wait(lock,
-                     [&] { return pending.load(std::memory_order_acquire) == 0; });
+        done_cv.wait(lock, [&] { return pending == 0; });
     }
     if (err) std::rethrow_exception(err);
 }

@@ -2,10 +2,10 @@
 //
 // Locks in the batched-forward contract: assemble() produces the documented
 // block-diagonal layout, and a fused forward over N graphs matches N
-// per-graph forwards — promised within 1e-5 relative on both kernel
-// backends, and bit-for-bit for a single-graph batch on the ref backend.
-// Also pins the oracle switch (set_batching) and the POWERGEAR_JOBS
-// determinism of Ensemble::predict_stats_batch.
+// batches of one (PowerModel::predict) — promised within 1e-5 relative on
+// both kernel backends, and bit-for-bit for a single-graph batch on every
+// backend and conv kind. Also pins the POWERGEAR_JOBS determinism of
+// Ensemble::predict_stats_batch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,11 +34,6 @@ namespace {
 struct BackendGuard {
     k::Backend saved = k::backend();
     ~BackendGuard() { k::set_backend(saved); }
-};
-
-struct BatchingGuard {
-    bool saved = gnn::batching_enabled();
-    ~BatchingGuard() { gnn::set_batching(saved); }
 };
 
 /// Random heterogeneous graph: 2-40 nodes, random edge count over all four
@@ -157,9 +152,9 @@ TEST(GraphBatch, AssembleRejectsEmptyAndMismatchedInputs) {
     EXPECT_THROW(GraphBatch::assemble(graphs), std::invalid_argument);
 }
 
-// The heart of the tentpole: a fused forward over a random minibatch matches
-// per-graph forwards within 1e-5 relative, on both kernel backends, for
-// every conv kind the model supports.
+// A fused forward over a random minibatch matches the same graphs run as
+// batches of one within 1e-5 relative, on both kernel backends, for every
+// conv kind the model supports.
 TEST(GraphBatch, BatchedForwardMatchesPerGraphOnBothBackends) {
     BackendGuard guard;
     Rng rng(107);
@@ -190,62 +185,36 @@ TEST(GraphBatch, BatchedForwardMatchesPerGraphOnBothBackends) {
     }
 }
 
-TEST(GraphBatch, SingleGraphBatchIsBitIdenticalOnRefBackend) {
+TEST(GraphBatch, SingleGraphBatchIsBitIdenticalOnEveryBackendAndKind) {
+    // predict() borrows the graph as a batch of one; predict_batch() runs an
+    // assembled (copied) one-graph batch. Same kernels, same reduction
+    // order, so the bits must match on both backends for every conv kind.
     BackendGuard guard;
-    k::set_backend(k::Backend::Ref);
     Rng rng(109);
-    for (int trial = 0; trial < 10; ++trial) {
-        const GraphTensors g = random_tensors(rng);
-        const GraphTensors* ptr = &g;
-        const GraphBatch b =
-            GraphBatch::assemble(std::span<const GraphTensors* const>(&ptr, 1));
-        PowerModel model(batch_config(ConvKind::HecGnn));
-        nn::Tape t;
-        const std::vector<float> fused = model.predict_batch(b, t);
-        const float solo = model.predict(g, t);
-        ASSERT_EQ(fused.size(), 1u);
-        // Exact equality: a 1-graph batch is the same tensors, same kernels,
-        // same reduction order (segment_sum over one segment == sum_rows).
-        EXPECT_EQ(fused[0], solo) << "trial " << trial;
+    for (const ConvKind kind :
+         {ConvKind::HecGnn, ConvKind::Gcn, ConvKind::Sage,
+          ConvKind::GraphConv, ConvKind::Gine}) {
+        for (const k::Backend be : {k::Backend::Ref, k::Backend::Blocked}) {
+            k::set_backend(be);
+            PowerModel model(batch_config(kind));
+            nn::Tape t;
+            for (int trial = 0; trial < 10; ++trial) {
+                const GraphTensors g = random_tensors(rng);
+                const GraphTensors* ptr = &g;
+                const GraphBatch b = GraphBatch::assemble(
+                    std::span<const GraphTensors* const>(&ptr, 1));
+                const std::vector<float> fused = model.predict_batch(b, t);
+                const float solo = model.predict(g, t);
+                ASSERT_EQ(fused.size(), 1u);
+                EXPECT_EQ(fused[0], solo)
+                    << conv_kind_name(kind) << " backend "
+                    << k::backend_name(be) << " trial " << trial;
+            }
+        }
     }
-}
-
-TEST(GraphBatch, OracleSwitchKeepsTrainingAndEvalEquivalent) {
-    // set_batching flips train_epoch / evaluate_mape between the fused and
-    // per-graph paths; on the ref backend both must produce identical
-    // numbers from identical seeds (same shuffle, same arithmetic).
-    BackendGuard bguard;
-    BatchingGuard gguard;
-    k::set_backend(k::Backend::Ref);
-    Rng rng(113);
-    std::vector<GraphTensors> storage;
-    std::vector<const GraphTensors*> graphs;
-    std::vector<float> ys;
-    for (int i = 0; i < 10; ++i) {
-        storage.push_back(random_tensors(rng));
-        ys.push_back(1.0f + 0.25f * static_cast<float>(i));
-    }
-    for (const auto& g : storage) graphs.push_back(&g);
-
-    auto run = [&](bool fused) {
-        gnn::set_batching(fused);
-        PowerModel model(batch_config(ConvKind::HecGnn));
-        std::vector<double> out;
-        out.push_back(model.train_epoch(graphs, ys, 4));
-        out.push_back(model.train_epoch(graphs, ys, 4));
-        out.push_back(model.evaluate_mape(graphs, ys));
-        return out;
-    };
-    const std::vector<double> fused = run(true);
-    const std::vector<double> oracle = run(false);
-    ASSERT_EQ(fused.size(), oracle.size());
-    for (std::size_t i = 0; i < fused.size(); ++i)
-        EXPECT_EQ(fused[i], oracle[i]) << "step " << i;
 }
 
 TEST(GraphBatch, PredictStatsBatchDeterministicAcrossJobsAndChunks) {
-    BatchingGuard gguard;
-    gnn::set_batching(true);
     Rng rng(127);
     std::vector<GraphTensors> storage;
     std::vector<const GraphTensors*> graphs;
@@ -280,7 +249,7 @@ TEST(GraphBatch, PredictStatsBatchDeterministicAcrossJobsAndChunks) {
         EXPECT_EQ(serial[i].spread, pooled[i].spread) << "sample " << i;
     }
 
-    // And the batched stats match the per-sample oracle within the envelope.
+    // And the batched stats match batches of one within the envelope.
     for (std::size_t i = 0; i < graphs.size(); ++i) {
         const gnn::Ensemble::Stats solo = ens.predict_stats(*graphs[i]);
         const float tol = 1e-5f * std::max(1.0f, std::abs(solo.mean));

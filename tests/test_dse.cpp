@@ -215,9 +215,10 @@ TEST(Explorer, RejectsBadInput) {
     EXPECT_THROW(explore(pts, fewer, {}), std::invalid_argument);
 }
 
-TEST(Explorer, BatchEstimatorFormMatchesCallbackForm) {
-    // The estimate_batch-backed overload must sample exactly the same
-    // designs as the point-wise callback bound to the same estimator.
+TEST(Explorer, EstimatorFormMatchesPointwiseEstimates) {
+    // Explorer::run scores the pool with one estimate_batch call; it must
+    // sample exactly the same designs as explore() over points scored one
+    // sample at a time with the same estimator.
     namespace ds = powergear::dataset;
     namespace core = powergear::core;
     ds::GeneratorOptions gopts;
@@ -238,14 +239,20 @@ TEST(Explorer, BatchEstimatorFormMatchesCallbackForm) {
 
     ExplorerConfig cfg;
     cfg.total_budget = 0.5;
-    const Explorer explorer(cfg);
     const core::SamplePool pool = ds::pool_of(suite[1]);
-    const DseResult via_batch = explorer.run(pool, pg, ds::PowerKind::Dynamic);
-    const DseResult via_callback = explorer.run(
-        pool, [&pg](const ds::Sample& s) { return pg.estimate(s); },
-        ds::PowerKind::Dynamic);
-    EXPECT_EQ(via_batch.sampled, via_callback.sampled);
-    EXPECT_DOUBLE_EQ(via_batch.adrs_value, via_callback.adrs_value);
+    const DseResult via_batch =
+        Explorer(cfg).run(pool, pg, ds::PowerKind::Dynamic);
+    std::vector<Point> predicted, truth;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const ds::Sample& s = pool[i];
+        const double lat = static_cast<double>(s.latency_cycles);
+        const int idx = static_cast<int>(i);
+        predicted.push_back({lat, pg.estimate(s), idx});
+        truth.push_back({lat, s.label(ds::PowerKind::Dynamic), idx});
+    }
+    const DseResult pointwise = explore(predicted, truth, cfg);
+    EXPECT_EQ(via_batch.sampled, pointwise.sampled);
+    EXPECT_DOUBLE_EQ(via_batch.adrs_value, pointwise.adrs_value);
 }
 
 // --- pareto_front tie handling (regression) ---------------------------------

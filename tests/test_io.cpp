@@ -8,13 +8,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
-#include "gnn/serialize.hpp"
 #include "hls/flow.hpp"
 #include "io/cache.hpp"
 #include "io/manifest.hpp"
@@ -109,7 +109,7 @@ TEST(Artifact, FrameRoundTripPreservesPayloadAndHeader) {
     const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 0, 42};
     const std::vector<std::uint8_t> file = io::frame("sim", 1, payload);
     ASSERT_EQ(file.size(), io::kHeaderSize + payload.size());
-    EXPECT_TRUE(io::is_artifact_magic(file.data(), file.size()));
+    EXPECT_EQ(std::memcmp(file.data(), "PGART\0v1", 8), 0); // the magic
 
     io::ArtifactInfo info;
     const std::vector<std::uint8_t> back = io::unframe(file, "sim", 1, &info);
@@ -147,6 +147,22 @@ TEST(Artifact, UnframeRejectsMalformedFilesWithDiagnostics) {
     corrupt.back() ^= 0xff;
     expect_throw_containing([&] { io::unframe(corrupt, "sim", 1); },
                             "checksum mismatch");
+
+    // The retired pre-artifact text model format is just another malformed
+    // file: rejected by the frame check, and by PowerGear::load.
+    const std::string text = "powergear-ensemble 1 3\npowergear-model 1\n"
+                             "config 0 40 4 10 16 3 0.2 0.0005 1 1 1 1 1 1\n";
+    const std::vector<std::uint8_t> text_file(text.begin(), text.end());
+    expect_throw_containing([&] { io::unframe(text_file, "model", 1); },
+                            "bad magic");
+    TempDir tmp("text_model");
+    {
+        std::ofstream f(tmp.file("m.txt"), std::ios::binary);
+        f.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
+    core::PowerGear pg(core::PowerGear::Options{});
+    EXPECT_THROW(pg.load(tmp.file("m.txt")), std::runtime_error);
+    EXPECT_EQ(pg.num_members(), 0);
 }
 
 TEST(Artifact, HasherSeparatesTypesAndBoundaries) {
@@ -245,7 +261,7 @@ TEST(ArtifactStages, SampleSaveLoadIsBitExact) {
     }
 }
 
-TEST(ArtifactStages, EnsembleSaveLoadIsBitExactAndTextStillLoads) {
+TEST(ArtifactStages, EnsembleSaveLoadIsBitExact) {
     TempDir tmp("model");
     std::vector<dataset::Dataset> suite;
     suite.push_back(dataset::generate_dataset("atax", quick_opts(4)));
@@ -266,17 +282,6 @@ TEST(ArtifactStages, EnsembleSaveLoadIsBitExactAndTextStillLoads) {
     EXPECT_EQ(pg2.num_members(), pg.num_members());
     for (const dataset::Sample& s : suite[1].samples)
         EXPECT_EQ(pg.estimate(s), pg2.estimate(s)); // bit-exact weights
-
-    // A pre-artifact text-format file is still readable (format sniffing).
-    {
-        std::ofstream f(tmp.file("m.txt"));
-        gnn::Ensemble legacy = io::load_ensemble_file(tmp.file("m.art"));
-        gnn::save_ensemble(f, legacy);
-    }
-    core::PowerGear pg3(o);
-    pg3.load(tmp.file("m.txt"));
-    for (const dataset::Sample& s : suite[1].samples)
-        EXPECT_EQ(pg.estimate(s), pg3.estimate(s));
 
     expect_throw_containing(
         [&] { io::load_ensemble_file(tmp.file("missing.art")); },

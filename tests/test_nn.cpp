@@ -38,9 +38,12 @@ void check_gradient(Param& p,
     }
 }
 
-/// Sum all entries of a node to a scalar via sum_rows + a fixed column mix.
+/// Sum all entries of a node to a scalar via a one-segment segment_sum + a
+/// fixed column mix, so every gradient check also covers segment_sum's
+/// backward.
 int to_scalar(Tape& t, int x) {
-    int row = t.sum_rows(x); // (1, d)
+    std::vector<int> one_segment(static_cast<std::size_t>(t.value(x).rows()), 0);
+    int row = t.segment_sum(x, std::move(one_segment), 1); // (1, d)
     Tensor mix(t.value(row).cols(), 1);
     for (int i = 0; i < mix.rows(); ++i) mix.at(i, 0) = 0.3f + 0.1f * i;
     return t.matmul(row, t.input(mix));
@@ -178,13 +181,17 @@ TEST(Autograd, ScaleRowsConcatGradient) {
 }
 
 TEST(Autograd, MapeLossGradient) {
+    // Three prediction rows on both sides of their targets, away from the
+    // |.| kink, so every row's sign branch is exercised.
     Rng rng(19);
-    Param w(Tensor::xavier(1, 1, rng));
-    w.w.at(0, 0) = 2.0f; // away from the |.| kink
-    const std::vector<float> targets = {3.0f};
+    Param w(Tensor::xavier(3, 1, rng));
+    w.w.at(0, 0) = 2.0f;
+    w.w.at(1, 0) = 5.0f;
+    w.w.at(2, 0) = -1.0f;
+    const std::vector<float> targets = {3.0f, 4.0f, -2.5f};
 
     auto build = [&](Tape& t) {
-        return t.mape_loss({t.param(&w)}, targets);
+        return t.mape_loss_rows(t.param(&w), targets);
     };
     auto forward = [&]() {
         Tape t;
@@ -199,9 +206,10 @@ TEST(Autograd, MapeLossGradient) {
 
 TEST(Autograd, MapeLossRejectsZeroTargets) {
     Tape t;
-    Tensor one(1, 1, 1.0f);
+    Tensor one(2, 1, 1.0f);
     const int p = t.input(one);
-    EXPECT_THROW(t.mape_loss({p}, {0.0f}), std::invalid_argument);
+    EXPECT_THROW(t.mape_loss_rows(p, {1.0f, 0.0f}), std::invalid_argument);
+    EXPECT_THROW(t.mape_loss_rows(p, {1.0f}), std::invalid_argument);
 }
 
 TEST(Autograd, DropoutEvalIsIdentity) {
@@ -240,14 +248,9 @@ TEST(Optimizer, AdamSolvesLinearRegression) {
     double first_loss = 0.0, last_loss = 0.0;
     for (int step = 0; step < 400; ++step) {
         Tape t;
-        std::vector<int> preds;
-        for (int r = 0; r < x.rows(); ++r) {
-            Tensor row(1, 3);
-            for (int c = 0; c < 3; ++c) row.at(0, c) = x.at(r, c);
-            preds.push_back(
-                t.add(t.matmul(t.input(row), t.param(&w)), t.param(&b)));
-        }
-        const int loss = t.mape_loss(preds, targets);
+        const int preds =
+            t.add_bias(t.matmul(t.input_view(x), t.param(&w)), t.param(&b));
+        const int loss = t.mape_loss_rows(preds, targets);
         if (step == 0) first_loss = t.value(loss).at(0, 0);
         last_loss = t.value(loss).at(0, 0);
         adam.zero_grad();

@@ -50,7 +50,7 @@ core::PowerGear::Options tiny_opts() {
 }
 
 /// Bit-exact fingerprint of a model freshly trained under `jobs` workers:
-/// train, save (hex-float text format), slurp the file back.
+/// train, save (model artifact), slurp the file back.
 std::string train_fingerprint(const std::vector<dataset::Dataset>& suite,
                               int jobs, const std::string& path) {
     return with_jobs(jobs, [&] {
@@ -114,6 +114,31 @@ TEST(ParallelRuntime, LowestIndexExceptionWins) {
         }
         return 0;
     });
+}
+
+TEST(ParallelRuntime, TinyFanOutsSurviveCompletionRaceStress) {
+    // Many n=2 fan-outs: one helper task each, so the helper's completion
+    // signal races the submitter's return on every call. The fan-out state
+    // lives on the submitter's stack; a helper still touching it after the
+    // submitter returned would corrupt memory or abort. Results must stay
+    // bit-identical to a serial run.
+    constexpr int kCalls = 20000;
+    auto run = [] {
+        std::vector<std::uint64_t> sums;
+        sums.reserve(kCalls);
+        for (int c = 0; c < kCalls; ++c) {
+            const std::vector<std::uint64_t> out =
+                util::parallel_map<std::uint64_t>(2, [c](std::size_t i) {
+                    return util::task_rng(static_cast<std::uint64_t>(c), i)
+                        .next_u64();
+                });
+            sums.push_back(out[0] ^ (out[1] * 3));
+        }
+        return sums;
+    };
+    const std::vector<std::uint64_t> serial = with_jobs(1, run);
+    for (const int jobs : {2, 4})
+        EXPECT_EQ(with_jobs(jobs, run), serial) << "jobs " << jobs;
 }
 
 TEST(ParallelRuntime, SerialModeNeedsNoPool) {

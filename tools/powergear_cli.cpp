@@ -62,7 +62,6 @@
 #include "dse/explorer.hpp"
 #include "dse/shard.hpp"
 #include "dse/stream_explorer.hpp"
-#include "gnn/serialize.hpp"
 #include "io/cache.hpp"
 #include "io/serial.hpp"
 #include "kernels/polybench.hpp"
@@ -626,7 +625,6 @@ int cmd_version() {
     std::printf("powergear-metrics powergear-obs-v1\n");
     std::printf("powergear-model-payload %u\n",
                 static_cast<unsigned>(io::kModelPayloadVersion));
-    std::printf("powergear-model-text %d\n", gnn::kModelFormatVersion);
     return 0;
 }
 
