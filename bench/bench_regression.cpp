@@ -380,15 +380,15 @@ int main(int argc, char** argv) {
             }));
         }
         if (want("matmul_blocked")) {
-            // The blocked kernel directly, bypassing dispatch: tracks the
-            // register-tiled GEMM itself regardless of POWERGEAR_KERNEL.
+            // The raw blocked kernel into a preallocated output: tracks the
+            // register-tiled GEMM itself, without matmul128's allocation.
             util::Rng rng(7);
             const nn::Tensor a = nn::Tensor::xavier(128, 128, rng);
             const nn::Tensor b = nn::Tensor::xavier(128, 128, rng);
             nn::Tensor c(128, 128);
             results.push_back(run_bench("matmul_blocked", reps, [&] {
-                nn::kernels::matmul_blocked(128, 128, 128, a.data(), b.data(),
-                                            c.data());
+                nn::kernels::matmul(128, 128, 128, a.data(), b.data(),
+                                    c.data());
                 if (c.at(0, 0) != c.at(0, 0)) std::abort();
             }));
         }

@@ -6,9 +6,7 @@
 # RelWithDebInfo so the test suite stays fast) — with warnings-as-errors
 # everywhere, runs the full ctest suite under each, then re-runs the
 # Release suite under both POWERGEAR_JOBS=1 and POWERGEAR_JOBS=4 to prove
-# the thread-pool runtime is deterministic and safe at either extreme, and
-# once more under POWERGEAR_KERNEL=ref so the reference NN kernel oracle
-# stays green alongside the default blocked backend.
+# the thread-pool runtime is deterministic and safe at either extreme.
 # Finishes with a `powergear lint --all` sweep over every built-in kernel
 # (paper + extended; must report zero diagnostics, exit 0), a serve-daemon
 # load-generator leg (warm path must hold >= 20x over the cold process
@@ -66,13 +64,6 @@ for n in 1 4; do
         POWERGEAR_JOBS=$n ctest --output-on-failure -j "$JOBS")
 done
 
-# Kernel-backend matrix: the default runs above exercise the blocked backend;
-# this leg dispatches every NN kernel through the naive reference oracle so a
-# change can't break ref silently (the parity tests need it trustworthy).
-echo "=== [kernel=ref] ctest (POWERGEAR_KERNEL=ref) ==="
-(cd build-check-release &&
-    POWERGEAR_KERNEL=ref ctest --output-on-failure -j "$JOBS")
-
 echo "=== lint: every built-in kernel must be diagnostic-free ==="
 # --all sweeps the paper's nine kernels plus the extended set through the
 # full checker stack (IR, dataflow DF001-004, schedule, graph, tensor);
@@ -121,4 +112,4 @@ python3 scripts/bench_gate.py --baseline bench/baseline.json \
     --run build-check-release/bench/bench_regression --reps 3 \
     --out BENCH_check.json
 
-echo "check.sh: release + asan + ubsan + tsan + jobs/kernel matrix + lint + serve + consumer + bench gate all green"
+echo "check.sh: release + asan + ubsan + tsan + jobs matrix + lint + serve + consumer + bench gate all green"

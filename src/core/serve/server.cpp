@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -17,6 +18,16 @@
 namespace powergear::core::serve {
 
 namespace {
+
+/// The accept loop's wake-up period: how often it rechecks the stop and
+/// reload flags, and how long it backs off when accept() runs out of fds.
+constexpr int kPollTickMs = 100;
+
+/// accept() failures that an ordinary resource limit causes. They clear once
+/// connections close, so the daemon waits them out instead of stopping.
+bool transient_accept_error(int err) {
+    return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
 
 std::uint64_t now_ns() {
     return static_cast<std::uint64_t>(
@@ -242,6 +253,7 @@ void Server::accept_loop() {
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
+    bool backing_off = false;
     while (!stop_flag_.load(std::memory_order_relaxed)) {
         // SIGHUP lands here: the handler only flips the atomic, the swap
         // itself runs on this thread with full library access.
@@ -254,7 +266,7 @@ void Server::accept_loop() {
                 obs::add(obs::Phase::Serve, "reload_errors");
             }
         }
-        const int r = ::poll(&pfd, 1, 100);
+        const int r = ::poll(&pfd, 1, kPollTickMs);
         if (r < 0) {
             if (errno == EINTR) continue;
             std::fprintf(stderr, "serve: poll() failed: %s\n",
@@ -265,10 +277,24 @@ void Server::accept_loop() {
         const int cfd = ::accept(listen_fd_, nullptr, nullptr);
         if (cfd < 0) {
             if (errno == EINTR || errno == ECONNABORTED) continue;
+            if (transient_accept_error(errno)) {
+                // The connection stays queued in the backlog; retry after
+                // one tick. Logged once per episode, not once per retry.
+                if (!backing_off)
+                    std::fprintf(stderr,
+                                 "serve: accept() failed: %s; backing off\n",
+                                 std::strerror(errno));
+                backing_off = true;
+                obs::add(obs::Phase::Serve, "accept_backoffs");
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(kPollTickMs));
+                continue;
+            }
             std::fprintf(stderr, "serve: accept() failed: %s\n",
                          std::strerror(errno));
             break;
         }
+        backing_off = false;
         auto conn = std::make_shared<Conn>();
         conn->fd = cfd;
         {

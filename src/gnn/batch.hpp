@@ -17,11 +17,10 @@
 // This is the model's only input form: PowerModel::predict on one graph
 // runs a batch of one that borrows the graph's tensors.
 //
-// Numerics: a batch of one is bit-identical to PowerModel::predict on
-// every backend; in larger batches the blocked backend's tiling and
-// sparsity decisions see the whole batch, so per-graph results are only
-// guaranteed within the documented <=1e-5 relative envelope
-// (DESIGN.md §10/§13).
+// Numerics: a batch of one is bit-identical to PowerModel::predict; in
+// larger batches the kernels' tiling and sparsity decisions see the whole
+// batch, so per-graph results are only guaranteed within the documented
+// <=1e-5 relative envelope (DESIGN.md §10/§13).
 #pragma once
 
 #include <span>

@@ -53,8 +53,7 @@ public:
     /// each member runs one fused forward per chunk; tasks fan out over
     /// (chunk × member) with a fixed slot-ordered reduction, so results are
     /// bit-identical at any POWERGEAR_JOBS value. Per sample this matches
-    /// predict_stats exactly on the ref backend and within 1e-5 relative on
-    /// blocked (DESIGN.md §13).
+    /// predict_stats within 1e-5 relative (DESIGN.md §13).
     std::vector<Stats> predict_stats_batch(
         std::span<const GraphTensors* const> graphs) const;
 

@@ -54,8 +54,8 @@ public:
     /// Fused batched inference over a pre-assembled block-diagonal batch:
     /// one forward pass, one estimate per member graph (in batch order).
     /// The batch must outlive the tape's use up to its next reset(). Each
-    /// result agrees with predict() on the same graph within 1e-5 relative
-    /// on every backend; a batch of one is bit-identical (DESIGN.md §13).
+    /// result agrees with predict() on the same graph within 1e-5 relative;
+    /// a batch of one is bit-identical (DESIGN.md §13).
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.

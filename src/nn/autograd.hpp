@@ -7,8 +7,8 @@
 // Every intermediate (node values, gradient buffers, dropout masks) lives in
 // the tape's Arena: built once per minibatch, rewound with reset(), so the
 // steady state allocates nothing. The heavy ops dispatch through
-// nn::kernels (POWERGEAR_KERNEL=ref|blocked). A tape is owned by one task at
-// a time (DESIGN.md §7) and is neither copyable nor shareable across threads.
+// nn::kernels. A tape is owned by one task at a time (DESIGN.md §7) and is
+// neither copyable nor shareable across threads.
 //
 // Leaves come in three flavors:
 //   input       owns a copy of the tensor,

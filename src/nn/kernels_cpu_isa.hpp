@@ -1,4 +1,4 @@
-// Internal ISA-dispatch table for the blocked kernel backend.
+// Internal ISA-dispatch table for the blocked NN kernels.
 //
 // The blocked implementations live in kernels_cpu_tiles.inl, which is
 // compiled twice: once at the build's baseline ISA (kernels_cpu_generic.cpp)
@@ -10,10 +10,10 @@
 //
 // Numeric note: the two tables use the same fixed reduction order, but the
 // AVX2 translation unit may contract a*b+c into fused multiply-adds, so
-// blocked results can differ across hosts within the documented 1e-5
-// relative envelope (DESIGN.md §10). The ref oracle never routes through
-// this table and is compiled at the baseline ISA only, so ref results are
-// identical on every host.
+// results can differ across hosts within the documented 1e-5 relative
+// envelope (DESIGN.md §10). Tests include this header to run the parity
+// suite against every table the host can execute, not only the one
+// dispatch picks; the reference oracle they compare with lives in tests/.
 #pragma once
 
 #include <cstddef>

@@ -70,7 +70,7 @@ private:
     float* ext_ = nullptr; ///< borrowed storage; data_ unused when set
 };
 
-// Value-semantics wrappers over nn::kernels (dispatched on POWERGEAR_KERNEL).
+// Value-semantics wrappers over nn::kernels.
 /// C = A(m,k) * B(k,n)
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// C = A^T(m,k)->(k,m) * B(m,n)  (used for weight gradients)

@@ -2,10 +2,9 @@
 //
 // Locks in the batched-forward contract: assemble() produces the documented
 // block-diagonal layout, and a fused forward over N graphs matches N
-// batches of one (PowerModel::predict) — promised within 1e-5 relative on
-// both kernel backends, and bit-for-bit for a single-graph batch on every
-// backend and conv kind. Also pins the POWERGEAR_JOBS determinism of
-// Ensemble::predict_stats_batch.
+// batches of one (PowerModel::predict) — promised within 1e-5 relative, and
+// bit-for-bit for a single-graph batch, for every conv kind. Also pins the
+// POWERGEAR_JOBS determinism of Ensemble::predict_stats_batch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +15,6 @@
 #include "gnn/ensemble.hpp"
 #include "gnn/model.hpp"
 #include "ir/ir.hpp"
-#include "nn/kernels_cpu.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -27,14 +25,8 @@ using gnn::GraphTensors;
 using gnn::ModelConfig;
 using gnn::PowerModel;
 using powergear::util::Rng;
-namespace k = powergear::nn::kernels;
 
 namespace {
-
-struct BackendGuard {
-    k::Backend saved = k::backend();
-    ~BackendGuard() { k::set_backend(saved); }
-};
 
 /// Random heterogeneous graph: 2-40 nodes, random edge count over all four
 /// relation types (some relations may end up empty — the batch must still
@@ -153,10 +145,9 @@ TEST(GraphBatch, AssembleRejectsEmptyAndMismatchedInputs) {
 }
 
 // A fused forward over a random minibatch matches the same graphs run as
-// batches of one within 1e-5 relative, on both kernel backends, for every
-// conv kind the model supports.
-TEST(GraphBatch, BatchedForwardMatchesPerGraphOnBothBackends) {
-    BackendGuard guard;
+// batches of one within 1e-5 relative, for every conv kind the model
+// supports.
+TEST(GraphBatch, BatchedForwardMatchesPerGraphForEveryKind) {
     Rng rng(107);
     for (const ConvKind kind :
          {ConvKind::HecGnn, ConvKind::Gcn, ConvKind::Sage,
@@ -166,21 +157,17 @@ TEST(GraphBatch, BatchedForwardMatchesPerGraphOnBothBackends) {
         for (int i = 0; i < 7; ++i) storage.push_back(random_tensors(rng));
         for (const auto& g : storage) graphs.push_back(&g);
         const GraphBatch b = GraphBatch::assemble(graphs);
-        for (const k::Backend be : {k::Backend::Ref, k::Backend::Blocked}) {
-            k::set_backend(be);
-            PowerModel model(batch_config(kind));
-            nn::Tape t;
-            const std::vector<float> fused = model.predict_batch(b, t);
-            ASSERT_EQ(fused.size(), graphs.size());
-            for (std::size_t i = 0; i < graphs.size(); ++i) {
-                const float solo = model.predict(*graphs[i], t);
-                const float tol =
-                    1e-5f * std::max(1.0f, std::max(std::abs(solo),
-                                                    std::abs(fused[i])));
-                EXPECT_NEAR(fused[i], solo, tol)
-                    << conv_kind_name(kind) << " backend "
-                    << k::backend_name(be) << " graph " << i;
-            }
+        PowerModel model(batch_config(kind));
+        nn::Tape t;
+        const std::vector<float> fused = model.predict_batch(b, t);
+        ASSERT_EQ(fused.size(), graphs.size());
+        for (std::size_t i = 0; i < graphs.size(); ++i) {
+            const float solo = model.predict(*graphs[i], t);
+            const float tol =
+                1e-5f *
+                std::max(1.0f, std::max(std::abs(solo), std::abs(fused[i])));
+            EXPECT_NEAR(fused[i], solo, tol)
+                << conv_kind_name(kind) << " graph " << i;
         }
     }
 }
@@ -188,28 +175,23 @@ TEST(GraphBatch, BatchedForwardMatchesPerGraphOnBothBackends) {
 TEST(GraphBatch, SingleGraphBatchIsBitIdenticalOnEveryBackendAndKind) {
     // predict() borrows the graph as a batch of one; predict_batch() runs an
     // assembled (copied) one-graph batch. Same kernels, same reduction
-    // order, so the bits must match on both backends for every conv kind.
-    BackendGuard guard;
+    // order, so the bits must match for every conv kind.
     Rng rng(109);
     for (const ConvKind kind :
          {ConvKind::HecGnn, ConvKind::Gcn, ConvKind::Sage,
           ConvKind::GraphConv, ConvKind::Gine}) {
-        for (const k::Backend be : {k::Backend::Ref, k::Backend::Blocked}) {
-            k::set_backend(be);
-            PowerModel model(batch_config(kind));
-            nn::Tape t;
-            for (int trial = 0; trial < 10; ++trial) {
-                const GraphTensors g = random_tensors(rng);
-                const GraphTensors* ptr = &g;
-                const GraphBatch b = GraphBatch::assemble(
-                    std::span<const GraphTensors* const>(&ptr, 1));
-                const std::vector<float> fused = model.predict_batch(b, t);
-                const float solo = model.predict(g, t);
-                ASSERT_EQ(fused.size(), 1u);
-                EXPECT_EQ(fused[0], solo)
-                    << conv_kind_name(kind) << " backend "
-                    << k::backend_name(be) << " trial " << trial;
-            }
+        PowerModel model(batch_config(kind));
+        nn::Tape t;
+        for (int trial = 0; trial < 10; ++trial) {
+            const GraphTensors g = random_tensors(rng);
+            const GraphTensors* ptr = &g;
+            const GraphBatch b = GraphBatch::assemble(
+                std::span<const GraphTensors* const>(&ptr, 1));
+            const std::vector<float> fused = model.predict_batch(b, t);
+            const float solo = model.predict(g, t);
+            ASSERT_EQ(fused.size(), 1u);
+            EXPECT_EQ(fused[0], solo)
+                << conv_kind_name(kind) << " trial " << trial;
         }
     }
 }

@@ -1,17 +1,22 @@
-// Property-based parity suite for the CPU kernel backends.
+// Property-based parity suite for the CPU kernels.
 //
 // The blocked kernels change float summation order, so they cannot be
-// bit-identical to the reference loops — the contract (DESIGN.md §10) is
-// agreement within 1e-5 relative error on every shape, including degenerate
-// ones, plus bit-identical results at any POWERGEAR_JOBS value within one
-// backend. Both halves are locked in here over seeded random shapes.
+// bit-identical to the reference loops (kernels_ref.hpp) — the contract
+// (DESIGN.md §10) is agreement within 1e-5 relative error on every shape,
+// including degenerate ones, plus bit-identical results at any
+// POWERGEAR_JOBS value. Both halves are locked in here over seeded random
+// shapes, for every ISA table compiled into the library, not only the one
+// this host's CPUID picks for dispatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "kernels_ref.hpp"
 #include "nn/kernels_cpu.hpp"
+#include "nn/kernels_cpu_isa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -20,11 +25,25 @@ using powergear::util::Rng;
 
 namespace {
 
-/// Restore the process-global backend (and job count) after a test body.
-struct BackendGuard {
-    Backend saved = backend();
-    ~BackendGuard() { set_backend(saved); }
+struct IsaTable {
+    const char* name;
+    const BlockedOps* ops;
 };
+
+/// Every table this host can execute: the baseline one always, the AVX2+FMA
+/// one when CPUID reports both features.
+std::vector<IsaTable> compiled_tables() {
+    std::vector<IsaTable> tables = {{"generic", &blocked_ops_generic()}};
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        tables.push_back({"avx2", &blocked_ops_avx2()});
+#endif
+    return tables;
+}
+
+/// The table the dispatched kernels route through: the same CPUID rule as
+/// nn/kernels_cpu.cpp, i.e. the last (widest) table compiled_tables() lists.
+const BlockedOps& cpuid_picked_table() { return *compiled_tables().back().ops; }
 
 std::vector<float> random_values(Rng& rng, std::size_t n) {
     std::vector<float> v(n);
@@ -45,7 +64,7 @@ std::vector<int> random_indices(Rng& rng, std::size_t n, int upper) {
 }
 
 void expect_close(const std::vector<float>& ref, const std::vector<float>& got,
-                  const char* what, int m, int k, int n) {
+                  const std::string& what, int m, int k, int n) {
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
         const float tol =
@@ -75,93 +94,193 @@ std::vector<Shape> parity_shapes() {
     return shapes;
 }
 
-} // namespace
+/// The public dispatched entry points, packed in table form so they can be
+/// driven exactly like a compiled table.
+const BlockedOps kDispatched = {
+    .matmul = matmul,
+    .matmul_acc = matmul_acc,
+    .matmul_tn = matmul_tn,
+    .matmul_tn_acc = matmul_tn_acc,
+    .matmul_nt = matmul_nt,
+    .matmul_nt_acc = matmul_nt_acc,
+    .gather_matmul = gather_matmul,
+    .gather_matmul_tn_acc = gather_matmul_tn_acc,
+    .scatter_matmul_nt_acc = scatter_matmul_nt_acc,
+    .add_bias = add_bias,
+    .add_bias_backward = add_bias_backward,
+    .add_bias_relu = add_bias_relu,
+    .add_bias_relu_backward = add_bias_relu_backward,
+    .relu_forward = relu_forward,
+    .relu_backward = relu_backward,
+    .vadd = vadd,
+    .vacc = vacc,
+    .segment_sum = segment_sum,
+    .segment_sum_backward = segment_sum_backward,
+    .segment_mean = segment_mean,
+    .segment_mean_backward = segment_mean_backward,
+};
 
-TEST(KernelsCpu, BackendNameRoundTrip) {
-    EXPECT_STREQ(backend_name(Backend::Ref), "ref");
-    EXPECT_STREQ(backend_name(Backend::Blocked), "blocked");
+/// Call the kernels of `o` on fixed random inputs and return every output.
+/// Outputs start nonzero so the accumulate (+=) forms are visible.
+/// `fma_free_only` keeps to the kernels without multiply-adds — the
+/// elementwise epilogues, the segment forwards and segment_sum_backward —
+/// whose results kernels_cpu_isa.hpp promises are identical in every table.
+std::vector<std::vector<float>> exercise(const BlockedOps& o,
+                                         bool fma_free_only) {
+    Rng rng(3);
+    const int m = 9, k = 21, n = 34, segs = 4;
+    const std::size_t mn = static_cast<std::size_t>(m) * n;
+    const std::size_t kn = static_cast<std::size_t>(k) * n;
+    const std::size_t mk = static_cast<std::size_t>(m) * k;
+    const auto a = random_values(rng, mk);
+    const auto b = random_values(rng, kn);
+    const auto bm = random_values(rng, mn);
+    const auto bt = random_values(rng, static_cast<std::size_t>(n) * k);
+    const auto bias = random_values(rng, static_cast<std::size_t>(n));
+    const auto idx = random_indices(rng, static_cast<std::size_t>(m), m);
+    const auto seg = random_indices(rng, static_cast<std::size_t>(m), segs);
+
+    // Moving a vector keeps its buffer, so earlier pointers stay valid.
+    std::vector<std::vector<float>> outs;
+    auto out = [&outs](std::size_t len) {
+        std::vector<float> v(len);
+        for (std::size_t i = 0; i < len; ++i)
+            v[i] = 0.125f * static_cast<float>(i % 5);
+        outs.push_back(std::move(v));
+        return outs.back().data();
+    };
+    const std::size_t sn = static_cast<std::size_t>(segs) * n;
+
+    o.add_bias(m, n, bm.data(), bias.data(), out(mn));
+    float* dx = out(mn);
+    o.add_bias_backward(m, n, bm.data(), dx, out(n));
+    float* y = out(mn);
+    o.add_bias_relu(m, n, bm.data(), bias.data(), y);
+    dx = out(mn);
+    o.add_bias_relu_backward(m, n, y, bm.data(), dx, out(n));
+    o.relu_forward(mn, bm.data(), out(mn));
+    o.relu_backward(mn, y, bm.data(), out(mn));
+    o.vadd(mn, bm.data(), y, out(mn));
+    o.vacc(mn, bm.data(), out(mn));
+    o.segment_sum(m, n, bm.data(), seg.data(), segs, out(sn));
+    o.segment_mean(m, n, bm.data(), seg.data(), segs, out(sn));
+    o.segment_sum_backward(m, k, bt.data(), seg.data(), out(mk));
+    if (fma_free_only) return outs;
+
+    o.segment_mean_backward(m, k, bt.data(), seg.data(), segs, out(mk));
+    o.matmul(m, k, n, a.data(), b.data(), out(mn));
+    o.matmul_acc(m, k, n, a.data(), b.data(), out(mn));
+    o.matmul_tn(m, k, n, a.data(), bm.data(), out(kn));
+    o.matmul_tn_acc(m, k, n, a.data(), bm.data(), out(kn));
+    o.matmul_nt(m, k, n, a.data(), bt.data(), out(mn));
+    o.matmul_nt_acc(m, k, n, a.data(), bt.data(), out(mn));
+    o.gather_matmul(m, k, n, a.data(), idx.data(), b.data(), out(mn));
+    o.gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), bm.data(), out(kn));
+    o.scatter_matmul_nt_acc(m, k, n, bm.data(), b.data(), idx.data(),
+                            out(mk));
+    return outs;
 }
 
-TEST(KernelsCpu, DispatchMatchesFixedEntryPointsBitExactly) {
-    BackendGuard guard;
-    Rng rng(3);
-    const int m = 9, k = 21, n = 34;
-    const auto a = random_values(rng, static_cast<std::size_t>(m) * k);
-    const auto b = random_values(rng, static_cast<std::size_t>(k) * n);
-    std::vector<float> via_dispatch(static_cast<std::size_t>(m) * n);
-    std::vector<float> via_fixed(static_cast<std::size_t>(m) * n);
+} // namespace
 
-    set_backend(Backend::Blocked);
-    matmul(m, k, n, a.data(), b.data(), via_dispatch.data());
-    matmul_blocked(m, k, n, a.data(), b.data(), via_fixed.data());
-    EXPECT_EQ(via_dispatch, via_fixed);
+// The dispatched entry points are thin forwards into one table: pin that
+// every one of them reaches the table CPUID picks, argument order included.
+TEST(KernelsCpu, DispatchMatchesCpuidPickedTableBitExactly) {
+    EXPECT_EQ(exercise(kDispatched, false),
+              exercise(cpuid_picked_table(), false));
+}
 
-    set_backend(Backend::Ref);
-    matmul(m, k, n, a.data(), b.data(), via_dispatch.data());
-    matmul_ref(m, k, n, a.data(), b.data(), via_fixed.data());
-    EXPECT_EQ(via_dispatch, via_fixed);
+// kernels_cpu_isa.hpp promises that the kernels without multiply-adds give
+// identical results in both translation units (only the matmuls and
+// segment_mean_backward may FMA-contract). Hold the two tables to it.
+TEST(KernelsCpu, IsaTablesAgreeBitExactlyOnEpiloguesAndSegmentKernels) {
+    const std::vector<IsaTable> tables = compiled_tables();
+    if (tables.size() < 2)
+        GTEST_SKIP() << "only the generic table runs on this host";
+    const auto want = exercise(*tables.front().ops, true);
+    for (const IsaTable& t : tables)
+        EXPECT_EQ(exercise(*t.ops, true), want) << t.name;
 }
 
 TEST(KernelsCpu, MatmulParityOverRandomShapes) {
-    Rng rng(41);
-    for (const Shape& s : parity_shapes()) {
-        const auto a = random_values(rng, static_cast<std::size_t>(s.m) * s.k);
-        const auto b = random_values(rng, static_cast<std::size_t>(s.k) * s.n);
-        std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n, 7.0f);
-        std::vector<float> blk(ref.size(), -7.0f); // poisoned: must overwrite
-        matmul_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
-        expect_close(ref, blk, "matmul", s.m, s.k, s.n);
+    for (const IsaTable& t : compiled_tables()) {
+        Rng rng(41);
+        for (const Shape& s : parity_shapes()) {
+            const auto a =
+                random_values(rng, static_cast<std::size_t>(s.m) * s.k);
+            const auto b =
+                random_values(rng, static_cast<std::size_t>(s.k) * s.n);
+            std::vector<float> want(static_cast<std::size_t>(s.m) * s.n, 7.0f);
+            std::vector<float> got(want.size(), -7.0f); // poisoned: overwrite
+            ref::matmul(s.m, s.k, s.n, a.data(), b.data(), want.data());
+            t.ops->matmul(s.m, s.k, s.n, a.data(), b.data(), got.data());
+            expect_close(want, got, std::string("matmul/") + t.name, s.m, s.k,
+                         s.n);
+        }
     }
 }
 
 TEST(KernelsCpu, MatmulTnParityOverRandomShapes) {
-    Rng rng(43);
-    for (const Shape& s : parity_shapes()) {
-        const auto a = random_values(rng, static_cast<std::size_t>(s.m) * s.k);
-        const auto b = random_values(rng, static_cast<std::size_t>(s.m) * s.n);
-        std::vector<float> ref(static_cast<std::size_t>(s.k) * s.n, 7.0f);
-        std::vector<float> blk(ref.size(), -7.0f);
-        matmul_tn_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_tn_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
-        expect_close(ref, blk, "matmul_tn", s.m, s.k, s.n);
+    for (const IsaTable& t : compiled_tables()) {
+        Rng rng(43);
+        for (const Shape& s : parity_shapes()) {
+            const auto a =
+                random_values(rng, static_cast<std::size_t>(s.m) * s.k);
+            const auto b =
+                random_values(rng, static_cast<std::size_t>(s.m) * s.n);
+            std::vector<float> want(static_cast<std::size_t>(s.k) * s.n, 7.0f);
+            std::vector<float> got(want.size(), -7.0f);
+            ref::matmul_tn(s.m, s.k, s.n, a.data(), b.data(), want.data());
+            t.ops->matmul_tn(s.m, s.k, s.n, a.data(), b.data(), got.data());
+            expect_close(want, got, std::string("matmul_tn/") + t.name, s.m,
+                         s.k, s.n);
+        }
     }
 }
 
 TEST(KernelsCpu, MatmulNtParityOverRandomShapes) {
-    Rng rng(47);
-    for (const Shape& s : parity_shapes()) {
-        const auto a = random_values(rng, static_cast<std::size_t>(s.m) * s.k);
-        const auto b = random_values(rng, static_cast<std::size_t>(s.n) * s.k);
-        std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n, 7.0f);
-        std::vector<float> blk(ref.size(), -7.0f);
-        matmul_nt_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_nt_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
-        expect_close(ref, blk, "matmul_nt", s.m, s.k, s.n);
+    for (const IsaTable& t : compiled_tables()) {
+        Rng rng(47);
+        for (const Shape& s : parity_shapes()) {
+            const auto a =
+                random_values(rng, static_cast<std::size_t>(s.m) * s.k);
+            const auto b =
+                random_values(rng, static_cast<std::size_t>(s.n) * s.k);
+            std::vector<float> want(static_cast<std::size_t>(s.m) * s.n, 7.0f);
+            std::vector<float> got(want.size(), -7.0f);
+            ref::matmul_nt(s.m, s.k, s.n, a.data(), b.data(), want.data());
+            t.ops->matmul_nt(s.m, s.k, s.n, a.data(), b.data(), got.data());
+            expect_close(want, got, std::string("matmul_nt/") + t.name, s.m,
+                         s.k, s.n);
+        }
     }
 }
 
 TEST(KernelsCpu, GatherMatmulParityOverRandomShapes) {
-    Rng rng(53);
-    for (const Shape& s : parity_shapes()) {
-        const int rows = std::max(1, s.m); // gather source needs >= 1 row
-        const auto x =
-            random_values(rng, static_cast<std::size_t>(rows) * s.k);
-        const auto w = random_values(rng, static_cast<std::size_t>(s.k) * s.n);
-        const int e = s.m; // edge count may be 0
-        const auto idx = random_indices(rng, static_cast<std::size_t>(e), rows);
-        std::vector<float> ref(static_cast<std::size_t>(e) * s.n, 7.0f);
-        std::vector<float> blk(ref.size(), -7.0f);
-        gather_matmul_ref(e, s.k, s.n, x.data(), idx.data(), w.data(),
-                          ref.data());
-        gather_matmul_blocked(e, s.k, s.n, x.data(), idx.data(), w.data(),
-                              blk.data());
-        expect_close(ref, blk, "gather_matmul", e, s.k, s.n);
+    for (const IsaTable& t : compiled_tables()) {
+        Rng rng(53);
+        for (const Shape& s : parity_shapes()) {
+            const int rows = std::max(1, s.m); // gather source needs >= 1 row
+            const auto x =
+                random_values(rng, static_cast<std::size_t>(rows) * s.k);
+            const auto w =
+                random_values(rng, static_cast<std::size_t>(s.k) * s.n);
+            const int e = s.m; // edge count may be 0
+            const auto idx =
+                random_indices(rng, static_cast<std::size_t>(e), rows);
+            std::vector<float> want(static_cast<std::size_t>(e) * s.n, 7.0f);
+            std::vector<float> got(want.size(), -7.0f);
+            ref::gather_matmul(e, s.k, s.n, x.data(), idx.data(), w.data(),
+                               want.data());
+            t.ops->gather_matmul(e, s.k, s.n, x.data(), idx.data(), w.data(),
+                                 got.data());
+            expect_close(want, got, std::string("gather_matmul/") + t.name, e,
+                         s.k, s.n);
+        }
     }
 }
 
 TEST(KernelsCpu, AccumulateVariantsParity) {
-    BackendGuard guard;
     Rng rng(59);
     const int m = 13, k = 29, n = 37;
     const auto a = random_values(rng, static_cast<std::size_t>(m) * k);
@@ -170,8 +289,14 @@ TEST(KernelsCpu, AccumulateVariantsParity) {
     const auto g = random_values(rng, static_cast<std::size_t>(m) * n);
     const auto idx = random_indices(rng, static_cast<std::size_t>(m), m);
 
-    auto run = [&](Backend be) {
-        set_backend(be);
+    // The oracle and a table fill the same slots through the same-shaped
+    // calls; `acc` starts nonzero so the accumulate contract is visible.
+    struct AccOps {
+        decltype(&ref::matmul_acc) matmul_acc, matmul_tn_acc, matmul_nt_acc;
+        decltype(&ref::gather_matmul_tn_acc) gather_matmul_tn_acc;
+        decltype(&ref::scatter_matmul_nt_acc) scatter_matmul_nt_acc;
+    };
+    auto run = [&](const AccOps& o) {
         std::vector<float> acc(static_cast<std::size_t>(m) * n);
         std::vector<float> tn(static_cast<std::size_t>(k) * n);
         std::vector<float> nt(static_cast<std::size_t>(m) * k);
@@ -179,20 +304,27 @@ TEST(KernelsCpu, AccumulateVariantsParity) {
         std::vector<float> snt(static_cast<std::size_t>(m) * k);
         for (std::size_t i = 0; i < acc.size(); ++i)
             acc[i] = 0.25f * static_cast<float>(i % 7);
-        matmul_acc(m, k, n, a.data(), b.data(), acc.data());
-        matmul_tn_acc(m, k, n, a.data(), g.data(), tn.data());
-        matmul_nt_acc(m, n, k, g.data(), b.data(), nt.data());
-        gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), g.data(),
-                             gtn.data());
-        scatter_matmul_nt_acc(m, k, n, g.data(), b.data(), idx.data(),
-                              snt.data());
+        o.matmul_acc(m, k, n, a.data(), b.data(), acc.data());
+        o.matmul_tn_acc(m, k, n, a.data(), g.data(), tn.data());
+        o.matmul_nt_acc(m, n, k, g.data(), b.data(), nt.data());
+        o.gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), g.data(),
+                               gtn.data());
+        o.scatter_matmul_nt_acc(m, k, n, g.data(), b.data(), idx.data(),
+                                snt.data());
         std::vector<float> all;
         for (const auto* v : {&acc, &tn, &nt, &gtn, &snt})
             all.insert(all.end(), v->begin(), v->end());
         return all;
     };
-    expect_close(run(Backend::Ref), run(Backend::Blocked), "acc-kernels", m, k,
-                 n);
+    const std::vector<float> want =
+        run({ref::matmul_acc, ref::matmul_tn_acc, ref::matmul_nt_acc,
+             ref::gather_matmul_tn_acc, ref::scatter_matmul_nt_acc});
+    for (const IsaTable& t : compiled_tables())
+        expect_close(want,
+                     run({t.ops->matmul_acc, t.ops->matmul_tn_acc,
+                          t.ops->matmul_nt_acc, t.ops->gather_matmul_tn_acc,
+                          t.ops->scatter_matmul_nt_acc}),
+                     std::string("acc-kernels/") + t.name, m, k, n);
 }
 
 TEST(KernelsCpu, FusedEpiloguesMatchManualLoops) {
@@ -236,7 +368,6 @@ TEST(KernelsCpu, FusedEpiloguesMatchManualLoops) {
 // *inside* pool tasks.
 TEST(KernelsCpu, JobsCountDoesNotChangeResultsPerBackend) {
     namespace util = powergear::util;
-    BackendGuard guard;
     const int m = 11, k = 23, n = 31;
     auto run_tasks = [&]() {
         std::vector<std::vector<float>> outs(8);
@@ -262,17 +393,13 @@ TEST(KernelsCpu, JobsCountDoesNotChangeResultsPerBackend) {
         });
         return outs;
     };
-    for (Backend be : {Backend::Ref, Backend::Blocked}) {
-        set_backend(be);
-        util::set_parallel_jobs(1);
-        const auto serial = run_tasks();
-        util::set_parallel_jobs(4);
-        const auto pooled = run_tasks();
-        util::set_parallel_jobs(0); // back to env/default sizing
-        for (std::size_t t = 0; t < serial.size(); ++t)
-            EXPECT_EQ(serial[t], pooled[t])
-                << "backend " << backend_name(be) << " task " << t;
-    }
+    util::set_parallel_jobs(1);
+    const auto serial = run_tasks();
+    util::set_parallel_jobs(4);
+    const auto pooled = run_tasks();
+    util::set_parallel_jobs(0); // back to env/default sizing
+    for (std::size_t t = 0; t < serial.size(); ++t)
+        EXPECT_EQ(serial[t], pooled[t]) << "task " << t;
 }
 
 // --- segmented reductions (graph-batch readout, DESIGN.md §13) ---------------
@@ -305,8 +432,8 @@ TEST(KernelsCpu, SegmentSumMatchesHandComputedOracle) {
     const std::vector<int> seg = {0, 1, 0, 1, 0};
     std::vector<float> sum(9, 99.0f);   // poisoned: must overwrite
     std::vector<float> mean(9, -99.0f);
-    segment_sum_ref(5, 3, x.data(), seg.data(), 3, sum.data());
-    segment_mean_ref(5, 3, x.data(), seg.data(), 3, mean.data());
+    ref::segment_sum(5, 3, x.data(), seg.data(), 3, sum.data());
+    ref::segment_mean(5, 3, x.data(), seg.data(), 3, mean.data());
     const std::vector<float> want_sum = {18, 30, 42, 3, 3, 3, 0, 0, 0};
     EXPECT_EQ(sum, want_sum);
     for (int c = 0; c < 3; ++c) {
@@ -317,30 +444,33 @@ TEST(KernelsCpu, SegmentSumMatchesHandComputedOracle) {
     }
 }
 
-// The forwards contain no multiply-adds, so ref and blocked (and both ISA
-// legs of blocked) must agree bit-for-bit — not just within 1e-5. Shapes
-// include rows=0, cols=0, single segment, and all-empty segments.
+// The forwards contain no multiply-adds, so every ISA table must agree with
+// the reference oracle bit-for-bit — not just within 1e-5. Shapes include
+// rows=0, cols=0, single segment, and all-empty segments.
 TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
-    Rng rng(67);
-    for (const Shape& s : parity_shapes()) {
-        const int rows = s.m, cols = s.k;
-        const int num_segs = 1 + s.n % 7;
-        const auto x =
-            random_values(rng, static_cast<std::size_t>(rows) * cols);
-        const auto seg = random_segments(rng, rows, num_segs);
-        const std::size_t out_n = static_cast<std::size_t>(num_segs) * cols;
-        std::vector<float> ref(out_n, 7.0f), blk(out_n, -7.0f);
-        segment_sum_ref(rows, cols, x.data(), seg.data(), num_segs, ref.data());
-        segment_sum_blocked(rows, cols, x.data(), seg.data(), num_segs,
-                            blk.data());
-        EXPECT_EQ(ref, blk) << "segment_sum rows=" << rows << " cols=" << cols
-                            << " segs=" << num_segs;
-        segment_mean_ref(rows, cols, x.data(), seg.data(), num_segs,
-                         ref.data());
-        segment_mean_blocked(rows, cols, x.data(), seg.data(), num_segs,
-                             blk.data());
-        EXPECT_EQ(ref, blk) << "segment_mean rows=" << rows << " cols=" << cols
-                            << " segs=" << num_segs;
+    for (const IsaTable& t : compiled_tables()) {
+        Rng rng(67);
+        for (const Shape& s : parity_shapes()) {
+            const int rows = s.m, cols = s.k;
+            const int num_segs = 1 + s.n % 7;
+            const auto x =
+                random_values(rng, static_cast<std::size_t>(rows) * cols);
+            const auto seg = random_segments(rng, rows, num_segs);
+            const std::size_t out_n = static_cast<std::size_t>(num_segs) * cols;
+            std::vector<float> want(out_n, 7.0f), got(out_n, -7.0f);
+            ref::segment_sum(rows, cols, x.data(), seg.data(), num_segs,
+                             want.data());
+            t.ops->segment_sum(rows, cols, x.data(), seg.data(), num_segs,
+                               got.data());
+            EXPECT_EQ(want, got) << t.name << " segment_sum rows=" << rows
+                                 << " cols=" << cols << " segs=" << num_segs;
+            ref::segment_mean(rows, cols, x.data(), seg.data(), num_segs,
+                              want.data());
+            t.ops->segment_mean(rows, cols, x.data(), seg.data(), num_segs,
+                                got.data());
+            EXPECT_EQ(want, got) << t.name << " segment_mean rows=" << rows
+                                 << " cols=" << cols << " segs=" << num_segs;
+        }
     }
 }
 
@@ -361,8 +491,7 @@ TEST(KernelsCpu, SegmentSumSingleSegmentMatchesVaccOverRows) {
 TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
     // segment_sum_backward broadcasts g[seg[r]] into row r; the mean variant
     // additionally scales by 1/count. Both accumulate (+=), preserving prior
-    // gradient contents.
-    BackendGuard guard;
+    // gradient contents. Checked for the reference oracle and every table.
     Rng rng(73);
     const int rows = 9, cols = 5, num_segs = 4;
     const auto seg = random_segments(rng, rows, num_segs);
@@ -370,13 +499,22 @@ TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
         random_values(rng, static_cast<std::size_t>(num_segs) * cols);
     std::vector<int> count(static_cast<std::size_t>(num_segs), 0);
     for (int s : seg) ++count[static_cast<std::size_t>(s)];
-    for (Backend be : {Backend::Ref, Backend::Blocked}) {
-        set_backend(be);
+    struct Impl {
+        std::string name;
+        decltype(&ref::segment_sum_backward) sum_backward;
+        decltype(&ref::segment_mean_backward) mean_backward;
+    };
+    std::vector<Impl> impls = {
+        {"ref", ref::segment_sum_backward, ref::segment_mean_backward}};
+    for (const IsaTable& t : compiled_tables())
+        impls.push_back({t.name, t.ops->segment_sum_backward,
+                         t.ops->segment_mean_backward});
+    for (const Impl& be : impls) {
         std::vector<float> dsum(static_cast<std::size_t>(rows) * cols, 0.5f);
         std::vector<float> dmean(dsum);
-        segment_sum_backward(rows, cols, g.data(), seg.data(), dsum.data());
-        segment_mean_backward(rows, cols, g.data(), seg.data(), num_segs,
-                              dmean.data());
+        be.sum_backward(rows, cols, g.data(), seg.data(), dsum.data());
+        be.mean_backward(rows, cols, g.data(), seg.data(), num_segs,
+                         dmean.data());
         for (int r = 0; r < rows; ++r)
             for (int c = 0; c < cols; ++c) {
                 const std::size_t i = static_cast<std::size_t>(r) * cols + c;
@@ -385,7 +523,7 @@ TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
                         cols +
                     static_cast<std::size_t>(c);
                 EXPECT_FLOAT_EQ(dsum[i], 0.5f + g[gi])
-                    << backend_name(be) << " sum r=" << r << " c=" << c;
+                    << be.name << " sum r=" << r << " c=" << c;
                 const float inv =
                     1.0f /
                     static_cast<float>(count[static_cast<std::size_t>(
@@ -393,14 +531,13 @@ TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
                 const float want = 0.5f + g[gi] * inv;
                 const float tol = 1e-5f * std::max(1.0f, std::abs(want));
                 EXPECT_NEAR(dmean[i], want, tol)
-                    << backend_name(be) << " mean r=" << r << " c=" << c;
+                    << be.name << " mean r=" << r << " c=" << c;
             }
     }
 }
 
 TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
     namespace util = powergear::util;
-    BackendGuard guard;
     const int rows = 31, cols = 13, num_segs = 5;
     auto run_tasks = [&]() {
         std::vector<std::vector<float>> outs(6);
@@ -420,15 +557,11 @@ TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
         });
         return outs;
     };
-    for (Backend be : {Backend::Ref, Backend::Blocked}) {
-        set_backend(be);
-        util::set_parallel_jobs(1);
-        const auto serial = run_tasks();
-        util::set_parallel_jobs(4);
-        const auto pooled = run_tasks();
-        util::set_parallel_jobs(0);
-        for (std::size_t t = 0; t < serial.size(); ++t)
-            EXPECT_EQ(serial[t], pooled[t])
-                << "backend " << backend_name(be) << " task " << t;
-    }
+    util::set_parallel_jobs(1);
+    const auto serial = run_tasks();
+    util::set_parallel_jobs(4);
+    const auto pooled = run_tasks();
+    util::set_parallel_jobs(0);
+    for (std::size_t t = 0; t < serial.size(); ++t)
+        EXPECT_EQ(serial[t], pooled[t]) << "task " << t;
 }

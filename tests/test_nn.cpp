@@ -6,7 +6,6 @@
 #include <functional>
 
 #include "nn/autograd.hpp"
-#include "nn/kernels_cpu.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 
@@ -316,70 +315,56 @@ TEST(Autograd, FusedBiasReluMatchesUnfusedBitExactly) {
             EXPECT_EQ(t.value(fused).at(r, c), t.value(unfused).at(r, c));
 }
 
-// Central-difference check of the full matmul → bias → relu chain under BOTH
-// kernel backends, exercising the fused add_bias_relu backward — the one
+// Central-difference check of the full matmul → bias → relu chain on the
+// dispatched kernels, exercising the fused add_bias_relu backward — the one
 // place a fused-epilogue bug would hide from the forward parity tests.
-TEST(Autograd, LinearReluGradientUnderBothBackends) {
-    namespace kn = powergear::nn::kernels;
-    const kn::Backend saved = kn::backend();
-    for (const kn::Backend be : {kn::Backend::Ref, kn::Backend::Blocked}) {
-        kn::set_backend(be);
-        SCOPED_TRACE(kn::backend_name(be));
-        Rng rng(73);
-        Param w(Tensor::xavier(4, 3, rng));
-        Param b(Tensor::xavier(1, 3, rng));
-        const Tensor x = Tensor::xavier(6, 4, rng);
+TEST(Autograd, LinearReluGradient) {
+    Rng rng(73);
+    Param w(Tensor::xavier(4, 3, rng));
+    Param b(Tensor::xavier(1, 3, rng));
+    const Tensor x = Tensor::xavier(6, 4, rng);
 
-        auto build = [&](Tape& t) {
-            return to_scalar(
-                t, t.add_bias_relu(t.matmul(t.input_view(x), t.param(&w)),
-                                   t.param(&b)));
-        };
-        auto forward = [&]() {
-            Tape t;
-            return static_cast<double>(t.value(build(t)).at(0, 0));
-        };
+    auto build = [&](Tape& t) {
+        return to_scalar(
+            t, t.add_bias_relu(t.matmul(t.input_view(x), t.param(&w)),
+                               t.param(&b)));
+    };
+    auto forward = [&]() {
         Tape t;
-        const int out = build(t);
-        w.zero_grad();
-        b.zero_grad();
-        t.backward(out);
-        check_gradient(w, forward, [&](int r, int c) { return w.g.at(r, c); });
-        check_gradient(b, forward, [&](int r, int c) { return b.g.at(r, c); });
-    }
-    kn::set_backend(saved);
+        return static_cast<double>(t.value(build(t)).at(0, 0));
+    };
+    Tape t;
+    const int out = build(t);
+    w.zero_grad();
+    b.zero_grad();
+    t.backward(out);
+    check_gradient(w, forward, [&](int r, int c) { return w.g.at(r, c); });
+    check_gradient(b, forward, [&](int r, int c) { return b.g.at(r, c); });
 }
 
 // Same discipline for the fused gather+matmul node (HecConv's w/o-e.f. path).
-TEST(Autograd, GatherMatmulGradientUnderBothBackends) {
-    namespace kn = powergear::nn::kernels;
-    const kn::Backend saved = kn::backend();
+TEST(Autograd, GatherMatmulGradient) {
     const std::vector<int> idx = {0, 2, 2, 1, 3, 0};
-    for (const kn::Backend be : {kn::Backend::Ref, kn::Backend::Blocked}) {
-        kn::set_backend(be);
-        SCOPED_TRACE(kn::backend_name(be));
-        Rng rng(79);
-        Param x(Tensor::xavier(4, 3, rng));
-        Param w(Tensor::xavier(3, 5, rng));
+    Rng rng(79);
+    Param x(Tensor::xavier(4, 3, rng));
+    Param w(Tensor::xavier(3, 5, rng));
 
-        auto build = [&](Tape& t) {
-            return to_scalar(
-                t, t.gather_matmul(t.param(&x), std::span<const int>(idx),
-                                   t.param(&w)));
-        };
-        auto forward = [&]() {
-            Tape t;
-            return static_cast<double>(t.value(build(t)).at(0, 0));
-        };
+    auto build = [&](Tape& t) {
+        return to_scalar(
+            t, t.gather_matmul(t.param(&x), std::span<const int>(idx),
+                               t.param(&w)));
+    };
+    auto forward = [&]() {
         Tape t;
-        const int out = build(t);
-        x.zero_grad();
-        w.zero_grad();
-        t.backward(out);
-        check_gradient(x, forward, [&](int r, int c) { return x.g.at(r, c); });
-        check_gradient(w, forward, [&](int r, int c) { return w.g.at(r, c); });
-    }
-    kn::set_backend(saved);
+        return static_cast<double>(t.value(build(t)).at(0, 0));
+    };
+    Tape t;
+    const int out = build(t);
+    x.zero_grad();
+    w.zero_grad();
+    t.backward(out);
+    check_gradient(x, forward, [&](int r, int c) { return x.g.at(r, c); });
+    check_gradient(w, forward, [&](int r, int c) { return w.g.at(r, c); });
 }
 
 TEST(Layers, SnapshotRestoreRoundTrips) {

@@ -1,17 +1,24 @@
 // Serve daemon tests: wire codec round trips, malformed-frame rejection on
 // a live socket, request coalescing (bit-identical to a serial
 // estimate_batch), model hot-swap atomicity under concurrent load, and
-// socket lifecycle (stale-file takeover, live-daemon refusal, clean drain).
+// socket lifecycle (stale-file takeover, live-daemon refusal, clean drain),
+// and surviving fd exhaustion on accept.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -436,6 +443,83 @@ TEST(ServeSocket, ShutdownRequestDrainsCleanly) {
     EXPECT_EQ(server.stats().requests, 1u);
     // Socket file removed on drain.
     EXPECT_NE(::access(sock.c_str(), F_OK), 0);
+}
+
+// Running out of fds is ordinary load, not a reason to stop serving. Lower
+// RLIMIT_NOFILE, fill the fd table, queue one more connection so the
+// daemon's accept() fails with EMFILE, then free some fds: the queued
+// connection and a fresh client must both be served.
+TEST(ServeSocket, SurvivesFdExhaustionOnAccept) {
+    const std::string sock = fresh_socket_path();
+    const std::string model = sock + ".pgm";
+    TempFile model_guard(model);
+    put_model(model, true); // also builds world() while fds are plentiful
+    Server server(ServerConfig{sock, model});
+    server.start();
+
+    // Restores the fd limit and closes every filler fd, even when an
+    // assertion returns early.
+    struct FdPressure {
+        rlimit saved{};
+        std::vector<int> fillers;
+        FdPressure() = default;
+        FdPressure(const FdPressure&) = delete;
+        FdPressure& operator=(const FdPressure&) = delete;
+        ~FdPressure() {
+            for (int fd : fillers) ::close(fd);
+            ::setrlimit(RLIMIT_NOFILE, &saved);
+        }
+    } pressure;
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &pressure.saved), 0);
+    const int probe = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(probe, 0);
+    pressure.fillers.push_back(probe);
+    rlimit low = pressure.saved;
+    low.rlim_cur =
+        std::min<rlim_t>(low.rlim_cur, static_cast<rlim_t>(probe) + 48);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    // Live connections first; a ping round trip proves each was accepted.
+    std::vector<std::unique_ptr<RawConn>> live;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        live.push_back(std::make_unique<RawConn>(sock));
+        live.back()->send_bytes(framed_ping(i));
+        ASSERT_EQ(live.back()->read_response().id, i);
+    }
+    // Then fill every remaining slot.
+    for (int fd; (fd = ::dup(probe)) >= 0;) pressure.fillers.push_back(fd);
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_GT(pressure.fillers.size(), 8u);
+
+    // Free exactly one slot and take it for a new client socket. The daemon
+    // has nothing pending to accept, so the slot is ours; the connection
+    // then waits in the backlog while every accept() fails with EMFILE.
+    ::close(pressure.fillers.back());
+    pressure.fillers.pop_back();
+    RawConn queued(sock);
+    const timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(queued.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    for (int i = 0; i < 8; ++i) {
+        ::close(pressure.fillers.back());
+        pressure.fillers.pop_back();
+    }
+    try {
+        queued.send_bytes(framed_ping(99));
+        EXPECT_EQ(queued.read_response().id, 99u);
+        Client client(sock);
+        EXPECT_EQ(client.ping().generation, 1u);
+        const core::Estimate e = client.estimate(world().eval.samples.front());
+        EXPECT_EQ(e.watts, world().expect_a.front().watts);
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "daemon stopped serving after fd exhaustion: "
+                      << e.what();
+    }
+    live.clear();
+    server.stop();
 }
 
 TEST(ServeSocket, StaleSocketReplacedLiveDaemonRefused) {
