@@ -360,6 +360,16 @@ int main(int argc, char** argv) {
                 if (g.num_nodes <= 0) std::abort();
             }));
         }
+        if (want("graph_construction_cold"))
+            // A fresh oracle per call, as for every new design: times the
+            // trace scans that graph_construction's warm memo skips.
+            results.push_back(run_bench("graph_construction_cold", reps, [&] {
+                const sim::ActivityOracle oracle(p.fn, p.elab, p.trace,
+                                                 p.sched.total_latency);
+                auto g = graphgen::construct_graph(p.fn, p.elab, p.binding,
+                                                   oracle);
+                if (g.num_nodes <= 0) std::abort();
+            }));
         if (want("placement")) {
             const sim::ActivityOracle oracle(p.fn, p.elab, p.trace,
                                              p.sched.total_latency);

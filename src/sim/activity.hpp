@@ -11,15 +11,21 @@
 // loop handles iterations congruent to r mod f), so activity features are
 // directive-dependent even though the IR trace is shared.
 //
-// The stats paths are allocation-free and memoized: graph construction and
-// netlist expansion query the same pins repeatedly, and the oracle sits on
-// PowerGear's measured estimation-runtime path (Table I speedup).
+// Evaluation is lazy and scans each trace once: the first produced() of an
+// instruction walks its trace in order (an odometer advances the loop
+// coordinates and the replica index) and fills every replica. A pin whose
+// producer chain equals or prefixes the consumer's reuses the producer
+// replica's stats with no scan: the consumed stream is the produced one with
+// each value held m times (m = 1 on a shared chain; else the consumer
+// replica's iteration count in the deeper loops), so SA/AR are equal and
+// events scale by m. That needs full-length traces (product of the trips),
+// which the interpreter always records; other pins (escaping values) are
+// scanned once per (instr, operand) for all replicas. tests/activity_ref.*
+// keeps the original per-replica algorithm as the parity oracle.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "hls/elaborate.hpp"
@@ -36,6 +42,8 @@ struct DirStats {
 
 class ActivityOracle {
 public:
+    /// Throws std::invalid_argument when a loop nest is deeper than
+    /// kMaxChainDepth.
     ActivityOracle(const ir::Function& fn, const hls::ElabGraph& elab,
                    const Trace& trace, std::int64_t latency_cycles);
 
@@ -54,41 +62,37 @@ public:
 
     std::int64_t latency() const { return latency_; }
 
-private:
     /// Deepest loop nesting the oracle supports (Polybench needs 3).
     static constexpr int kMaxChainDepth = 16;
 
+private:
     struct ChainInfo {
         std::vector<int> loops;   ///< outermost first
         std::vector<int> trips;
         std::vector<int> unrolls;
+        std::vector<int> span;    ///< span[k] = product of unrolls[k..]; span[depth] = 1
+        bool full = false;        ///< trace length == product of trips
     };
 
-    /// Decompose execution index s into loop coordinates (caller buffer).
-    void coords_of(const ChainInfo& ci, std::int64_t s, int* coords) const;
-    /// Replica handled at coordinates (coord % unroll digits composed).
-    int replica_at(const ChainInfo& ci, const int* coords) const;
-
-    /// Execution indices handled by (instr, replica); built lazily.
-    const std::vector<std::int64_t>& executions(int instr, int replica) const;
-
-    /// Iterate the execution indices of (instr, replica) without
-    /// materializing a list for the unreplicated common case.
+    /// Visit the executions of `instr` in trace order as
+    /// (execution index, loop coordinates, replica).
     template <typename Fn>
-    void for_each_execution(int instr, int replica, Fn&& visit) const;
+    void walk(int instr, Fn&& visit) const;
 
-    /// Stream the values consumed via one pin without materializing them.
+    /// Visit (consumer replica, value) for every execution of `instr`,
+    /// reading operand `operand_index` from its producer's trace.
     template <typename Fn>
-    void visit_consumed(int op_id, int operand_index, Fn&& visit) const;
+    void visit_consumed(int instr, int operand_index, Fn&& visit) const;
 
     const ir::Function& fn_;
     const hls::ElabGraph& elab_;
     const Trace& trace_;
     std::int64_t latency_;
     std::vector<ChainInfo> chains_; ///< per instruction
-    mutable std::vector<std::vector<std::vector<std::int64_t>>> exec_cache_;
-    mutable std::vector<std::optional<DirStats>> produced_cache_;
-    mutable std::map<std::pair<int, int>, DirStats> consumed_cache_;
+    std::vector<int> consumed_base_; ///< per instruction: first consumed_ slot
+    mutable std::vector<std::optional<DirStats>> produced_;  ///< per op
+    /// Scanned pins: slot consumed_base_[instr] + operand * reps + replica.
+    mutable std::vector<std::optional<DirStats>> consumed_;
 };
 
 } // namespace powergear::sim

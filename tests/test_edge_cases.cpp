@@ -159,6 +159,55 @@ TEST(EdgeCases, ActivityOracleOnZeroLatency) {
         EXPECT_TRUE(std::isfinite(oracle.produced(o).sa));
 }
 
+namespace {
+
+/// `depth` nested trip-1 loops around one store of (indvar + 5).
+ir::Function deep_nest(int depth) {
+    ir::Builder b("deep");
+    const int a = b.array("A", {1});
+    for (int d = 0; d < depth; ++d) {
+        std::string name = "L"; // += dodges GCC 12's -Wrestrict false positive
+        name += std::to_string(d);
+        b.begin_loop(name, 1);
+    }
+    b.store(a, {b.constant(0)}, b.add(b.indvar(), b.constant(5)));
+    for (int d = 0; d < depth; ++d) b.end_loop();
+    return b.build();
+}
+
+} // namespace
+
+TEST(EdgeCases, ActivityOracleRejectsLoopNestDeeperThanSupported) {
+    // The oracle keeps per-level loop coordinates in fixed arrays of
+    // kMaxChainDepth (16); a deeper nest must be refused, not overrun them.
+    const ir::Function fn = deep_nest(sim::ActivityOracle::kMaxChainDepth + 1);
+    sim::Interpreter interp(fn);
+    const sim::Trace trace = interp.run();
+    const hls::ElabGraph elab = hls::elaborate(fn, hls::Directives{});
+    try {
+        const sim::ActivityOracle oracle(fn, elab, trace, 10);
+        FAIL() << "17-deep nest accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("depth 17"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(EdgeCases, ActivityOracleAcceptsLoopNestAtSupportedDepth) {
+    const ir::Function fn = deep_nest(sim::ActivityOracle::kMaxChainDepth);
+    sim::Interpreter interp(fn);
+    const sim::Trace trace = interp.run();
+    const hls::ElabGraph elab = hls::elaborate(fn, hls::Directives{});
+    const sim::ActivityOracle oracle(fn, elab, trace, 10);
+    for (int o = 0; o < elab.num_ops(); ++o) {
+        const hls::ElabOp& op = elab.ops[static_cast<std::size_t>(o)];
+        EXPECT_EQ(oracle.produced(o).events, 1);
+        if (op.op != ir::Opcode::Store) continue;
+        EXPECT_EQ(oracle.consumed_sequence(o, 1), (std::vector<std::uint32_t>{5u}));
+        EXPECT_EQ(oracle.consumed(o, 1).events, 1);
+    }
+}
+
 TEST(EdgeCases, HugeUnrollEqualsTripCount) {
     // Fully unrolling a loop removes the iteration dimension entirely.
     const ir::Function fn = kernels::build_polybench("gesummv", 8);
