@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "io/serial.hpp"
@@ -14,14 +13,7 @@
 namespace powergear::core::serve {
 
 Client::Client(std::string socket_path) : path_(std::move(socket_path)) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path_.empty() || path_.size() >= sizeof(addr.sun_path))
-        throw std::invalid_argument(
-            "serve: socket path must be 1.." +
-            std::to_string(sizeof(addr.sun_path) - 1) + " bytes (got '" +
-            path_ + "')");
-    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    const sockaddr_un addr = io::unix_address(path_);
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd_ < 0)
         throw std::runtime_error(std::string("serve: socket() failed: ") +

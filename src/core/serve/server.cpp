@@ -1,15 +1,17 @@
 #include "core/serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "io/serial.hpp"
@@ -19,9 +21,18 @@ namespace powergear::core::serve {
 
 namespace {
 
-/// The accept loop's wake-up period: how often it rechecks the stop and
-/// reload flags, and how long it backs off when accept() runs out of fds.
+/// The I/O thread's wake-up period: how often it rechecks the stop and
+/// reload flags, and how long it leaves the listen socket alone when
+/// accept() runs out of fds.
 constexpr int kPollTickMs = 100;
+
+/// Most bytes one wake reads off one connection, so a large frame cannot
+/// monopolise the I/O thread.
+constexpr std::size_t kReadChunk = 64 << 10;
+
+/// Longest a response write may block on a client that stopped reading;
+/// past it the client is shut down instead of stalling a daemon thread.
+constexpr timeval kSendTimeout{2, 0};
 
 /// accept() failures that an ordinary resource limit causes. They clear once
 /// connections close, so the daemon waits them out instead of stopping.
@@ -36,20 +47,9 @@ std::uint64_t now_ns() {
             .count());
 }
 
-/// Fill a sockaddr_un for `path`, rejecting paths the address cannot hold.
-sockaddr_un unix_address(const std::string& path) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.empty() || path.size() >= sizeof(addr.sun_path))
-        throw std::invalid_argument(
-            "serve: socket path must be 1.." +
-            std::to_string(sizeof(addr.sun_path) - 1) + " bytes (got '" +
-            path + "')");
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    return addr;
-}
-
 } // namespace
+
+Server::Conn::~Conn() { ::close(fd); }
 
 Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
     if (cfg_.max_batch < 1)
@@ -82,7 +82,7 @@ void Server::start() {
         state_.generation = 1;
     }
 
-    const sockaddr_un addr = unix_address(cfg_.socket_path);
+    const sockaddr_un addr = io::unix_address(cfg_.socket_path);
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd_ < 0)
         throw std::runtime_error(std::string("serve: socket() failed: ") +
@@ -121,7 +121,10 @@ void Server::start() {
                                      ": " + msg);
         }
     }
-    if (::listen(listen_fd_, 128) != 0) {
+    // Non-blocking, so a connection that vanishes between poll() and
+    // accept() cannot stall the I/O thread.
+    if (::listen(listen_fd_, 128) != 0 ||
+        ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK) != 0) {
         const std::string msg = std::strerror(errno);
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -131,9 +134,10 @@ void Server::start() {
 
     stop_flag_.store(false, std::memory_order_relaxed);
     reload_flag_.store(false, std::memory_order_relaxed);
+    stopping_ = false; // a restarted server; no thread runs yet
     running_.store(true, std::memory_order_release);
     batcher_thread_ = std::thread(&Server::batcher_loop, this);
-    accept_thread_ = std::thread(&Server::accept_loop, this);
+    io_thread_ = std::thread(&Server::io_loop, this);
 }
 
 void Server::run() {
@@ -147,23 +151,10 @@ void Server::stop() {
 }
 
 void Server::wait() {
-    // Join order mirrors the dependency chain: the accept thread initiates
-    // shutdown and stops spawning readers, readers stop feeding the queue,
-    // and the batcher drains what is left before exiting.
-    if (accept_thread_.joinable()) accept_thread_.join();
-    {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        for (std::thread& t : reader_threads_)
-            if (t.joinable()) t.join();
-    }
+    // The I/O thread sets stopping_ only after its last enqueue, so the
+    // batcher drains what is left and exits after it.
+    if (io_thread_.joinable()) io_thread_.join();
     if (batcher_thread_.joinable()) batcher_thread_.join();
-    {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        for (const std::shared_ptr<Conn>& c : conns_)
-            if (c->fd >= 0) ::close(c->fd);
-        conns_.clear();
-        reader_threads_.clear();
-    }
     running_.store(false, std::memory_order_release);
 }
 
@@ -210,9 +201,27 @@ void Server::respond(Conn& conn, const io::ServeResponse& resp) {
         io::frame(io::kStageServeResp, io::kServeRespVersion,
                   io::encode_serve_response(resp));
     std::lock_guard<std::mutex> lock(conn.write_mu);
-    // A vanished client is its problem, not the daemon's: send_frame
-    // returns false on EPIPE and the reader will see EOF and clean up.
-    (void)io::send_frame(conn.fd, frame);
+    bool sent = false;
+    try {
+        sent = io::send_frame(conn.fd, frame);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "serve: dropping a client: %s\n", e.what());
+    }
+    // A vanished or non-reading client is its problem, not the daemon's:
+    // shut it down; the I/O thread then sees EOF and lets go of it.
+    if (!sent) ::shutdown(conn.fd, SHUT_RDWR);
+}
+
+void Server::respond_error(Conn& conn, const std::string& what,
+                           std::uint64_t id, io::ServeOp op) {
+    n_errors_.fetch_add(1, std::memory_order_relaxed);
+    obs::add(obs::Phase::Serve, "errors");
+    io::ServeResponse err;
+    err.id = id;
+    err.op = op;
+    err.status = 1;
+    err.error = what;
+    respond(conn, err);
 }
 
 io::ServeResponse Server::handle_control(const io::ServeRequest& req) {
@@ -249,10 +258,10 @@ io::ServeResponse Server::handle_control(const io::ServeRequest& req) {
     return resp;
 }
 
-void Server::accept_loop() {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
+void Server::io_loop() {
+    std::vector<std::shared_ptr<Conn>> conns;
+    std::vector<pollfd> fds;
+    auto accept_resume = std::chrono::steady_clock::time_point{};
     bool backing_off = false;
     while (!stop_flag_.load(std::memory_order_relaxed)) {
         // SIGHUP lands here: the handler only flips the atomic, the swap
@@ -266,151 +275,146 @@ void Server::accept_loop() {
                 obs::add(obs::Phase::Serve, "reload_errors");
             }
         }
-        const int r = ::poll(&pfd, 1, kPollTickMs);
-        if (r < 0) {
+        // poll() skips negative fds: that is how an accept back-off leaves
+        // the listen socket out of one tick.
+        const bool accepting =
+            std::chrono::steady_clock::now() >= accept_resume;
+        fds.assign(1, pollfd{accepting ? listen_fd_ : -1, POLLIN, 0});
+        for (const std::shared_ptr<Conn>& c : conns)
+            fds.push_back(pollfd{c->fd, POLLIN, 0});
+        if (::poll(fds.data(), fds.size(), kPollTickMs) < 0) {
             if (errno == EINTR) continue;
             std::fprintf(stderr, "serve: poll() failed: %s\n",
                          std::strerror(errno));
             break;
         }
-        if (r == 0) continue;
+
+        // A finished connection drops out here; its fd closes once no
+        // queued request still holds it.
+        for (std::size_t i = 1; i < fds.size(); ++i)
+            if (fds[i].revents != 0 && !read_some(conns[i - 1]))
+                conns[i - 1].reset();
+        std::erase(conns, nullptr);
+
+        if ((fds[0].revents & POLLIN) == 0) continue;
         const int cfd = ::accept(listen_fd_, nullptr, nullptr);
-        if (cfd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED) continue;
-            if (transient_accept_error(errno)) {
-                // The connection stays queued in the backlog; retry after
-                // one tick. Logged once per episode, not once per retry.
-                if (!backing_off)
-                    std::fprintf(stderr,
-                                 "serve: accept() failed: %s; backing off\n",
-                                 std::strerror(errno));
-                backing_off = true;
-                obs::add(obs::Phase::Serve, "accept_backoffs");
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(kPollTickMs));
-                continue;
-            }
+        if (cfd >= 0) {
+            backing_off = false;
+            ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
+                         sizeof kSendTimeout);
+            conns.push_back(std::make_shared<Conn>(cfd));
+        } else if (transient_accept_error(errno)) {
+            // The connection stays queued in the backlog; retry after one
+            // tick. Logged once per episode, not once per retry.
+            if (!backing_off)
+                std::fprintf(stderr,
+                             "serve: accept() failed: %s; backing off\n",
+                             std::strerror(errno));
+            backing_off = true;
+            obs::add(obs::Phase::Serve, "accept_backoffs");
+            accept_resume = std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(kPollTickMs);
+        } else if (errno != EINTR && errno != ECONNABORTED &&
+                   errno != EAGAIN && errno != EWOULDBLOCK) {
             std::fprintf(stderr, "serve: accept() failed: %s\n",
                          std::strerror(errno));
             break;
         }
-        backing_off = false;
-        auto conn = std::make_shared<Conn>();
-        conn->fd = cfd;
-        {
-            // Count the reader before it exists so the batcher's
-            // "all readers done" drain condition can never observe a
-            // spawned-but-uncounted thread.
-            std::lock_guard<std::mutex> lock(queue_mu_);
-            ++active_readers_;
-        }
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        conns_.push_back(conn);
-        reader_threads_.emplace_back(&Server::reader_loop, this, conn);
     }
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(cfg_.socket_path.c_str());
-    begin_shutdown();
-}
 
-void Server::begin_shutdown() {
-    {
-        // Wake readers blocked in recv_frame: their next read returns EOF.
-        // Write sides stay open so queued requests still get answers.
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        for (const std::shared_ptr<Conn>& c : conns_)
-            if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
+    // Drain: frames that already arrived are still answered. Read every
+    // connection until it has nothing more or ends, then tell the batcher
+    // that no request can follow.
+    for (const std::shared_ptr<Conn>& c : conns) {
+        pollfd p{c->fd, POLLIN, 0};
+        while (::poll(&p, 1, 0) == 1 && read_some(c)) {
+        }
     }
     {
         std::lock_guard<std::mutex> lock(queue_mu_);
         stopping_ = true;
     }
     queue_cv_.notify_all();
-    space_cv_.notify_all();
 }
 
-void Server::reader_loop(std::shared_ptr<Conn> conn) {
-    for (;;) {
-        std::optional<std::vector<std::uint8_t>> frame;
-        try {
-            frame = io::recv_frame(conn->fd);
-        } catch (const std::exception& e) {
-            // Bad magic / truncated stream: frame boundaries are lost, so
-            // report once and drop the connection.
-            n_errors_.fetch_add(1, std::memory_order_relaxed);
-            obs::add(obs::Phase::Serve, "errors");
-            io::ServeResponse err;
-            err.status = 1;
-            err.error = e.what();
-            respond(*conn, err);
-            // Drop the connection: shutdown (not close) so the client sees
-            // EOF now, while the fd stays valid for wait() to close — a
-            // racing respond() on it gets EPIPE, never a recycled fd.
-            ::shutdown(conn->fd, SHUT_RDWR);
-            break;
-        }
-        if (!frame) break; // clean EOF
-
-        io::ServeRequest req;
-        try {
-            const std::vector<std::uint8_t> payload = io::unframe(
-                *frame, io::kStageServeReq, io::kServeReqVersion);
-            req = io::decode_serve_request(payload);
-        } catch (const std::exception& e) {
-            // The frame was complete (recv_frame succeeded), so the stream
-            // stays in sync: answer with a diagnostic and keep serving.
-            n_errors_.fetch_add(1, std::memory_order_relaxed);
-            obs::add(obs::Phase::Serve, "errors");
-            io::ServeResponse err;
-            err.status = 1;
-            err.error = e.what();
-            respond(*conn, err);
-            continue;
-        }
-
-        if (req.op != io::ServeOp::Estimate) {
-            const io::ServeResponse resp = handle_control(req);
-            respond(*conn, resp);
-            if (req.op == io::ServeOp::Shutdown && resp.status == 0)
-                poke_stop();
-            continue;
-        }
-
-        Pending p;
-        p.conn = conn;
-        p.id = req.id;
-        try {
-            p.sample = io::decode_sample(req.sample_payload);
-        } catch (const std::exception& e) {
-            n_errors_.fetch_add(1, std::memory_order_relaxed);
-            obs::add(obs::Phase::Serve, "errors");
-            io::ServeResponse err;
-            err.id = req.id;
-            err.op = req.op;
-            err.status = 1;
-            err.error = e.what();
-            respond(*conn, err);
-            continue;
-        }
-        p.enqueue_ns = now_ns();
-        {
-            std::unique_lock<std::mutex> lock(queue_mu_);
-            // Backpressure: a full admission queue blocks this connection's
-            // reads instead of dropping or buffering unboundedly.
-            space_cv_.wait(lock, [&] {
-                return static_cast<int>(queue_.size()) < cfg_.max_queue ||
-                       stopping_;
-            });
-            queue_.push_back(std::move(p));
-        }
-        queue_cv_.notify_one();
+bool Server::read_some(const std::shared_ptr<Conn>& conn) {
+    // Read no further than the end of the current frame: the buffer holds
+    // at most one frame, and the rest of a pipelined burst waits in the
+    // socket rather than in daemon memory.
+    std::vector<std::uint8_t>& in = conn->in;
+    const std::size_t have = in.size();
+    const std::size_t want = have < io::kHeaderSize
+                                 ? io::kHeaderSize
+                                 : io::frame_size(in.data(), have);
+    in.resize(have + std::min(want - have, kReadChunk));
+    const ssize_t k =
+        ::recv(conn->fd, in.data() + have, in.size() - have, MSG_DONTWAIT);
+    if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+        in.resize(have);
+        return true;
     }
+    in.resize(have + static_cast<std::size_t>(std::max<ssize_t>(k, 0)));
+    try {
+        if (k <= 0) { // orderly close, reset, or our own shutdown
+            if (have > 0) throw io::truncated_frame(in.data(), have);
+            return false;
+        }
+        const std::size_t size = io::frame_size(in.data(), in.size());
+        if (size != 0 && size == in.size())
+            handle_frame(conn, std::exchange(in, {}));
+    } catch (const std::exception& e) {
+        // Bad magic / truncated stream: frame boundaries are lost, so
+        // report once and drop the connection.
+        respond_error(*conn, e.what());
+        ::shutdown(conn->fd, SHUT_RDWR);
+        return false;
+    }
+    return true;
+}
+
+void Server::handle_frame(const std::shared_ptr<Conn>& conn,
+                          const std::vector<std::uint8_t>& frame) {
+    io::ServeRequest req;
+    try {
+        req = io::decode_serve_request(
+            io::unframe(frame, io::kStageServeReq, io::kServeReqVersion));
+    } catch (const std::exception& e) {
+        // The frame was complete, so the stream stays in sync: answer with
+        // a diagnostic and keep serving.
+        respond_error(*conn, e.what());
+        return;
+    }
+
+    if (req.op != io::ServeOp::Estimate) {
+        const io::ServeResponse resp = handle_control(req);
+        respond(*conn, resp);
+        if (req.op == io::ServeOp::Shutdown && resp.status == 0) poke_stop();
+        return;
+    }
+
+    Pending p;
+    p.conn = conn;
+    p.id = req.id;
+    try {
+        p.sample = io::decode_sample(req.sample_payload);
+    } catch (const std::exception& e) {
+        respond_error(*conn, e.what(), req.id, req.op);
+        return;
+    }
+    p.enqueue_ns = now_ns();
     {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        --active_readers_;
+        std::unique_lock<std::mutex> lock(queue_mu_);
+        // Backpressure: a full admission queue pauses all reads instead of
+        // dropping or buffering unboundedly.
+        space_cv_.wait(lock, [&] {
+            return static_cast<int>(queue_.size()) < cfg_.max_queue;
+        });
+        queue_.push_back(std::move(p));
     }
-    queue_cv_.notify_all();
+    queue_cv_.notify_one();
 }
 
 void Server::batcher_loop() {
@@ -418,11 +422,9 @@ void Server::batcher_loop() {
         std::vector<Pending> batch;
         {
             std::unique_lock<std::mutex> lock(queue_mu_);
-            queue_cv_.wait(lock, [&] {
-                return !queue_.empty() ||
-                       (stopping_ && active_readers_ == 0);
-            });
-            if (queue_.empty()) break; // drained and no reader can refill
+            queue_cv_.wait(lock,
+                           [&] { return !queue_.empty() || stopping_; });
+            if (queue_.empty()) break; // drained and nothing can refill it
 
             // Coalescing linger: once one request is pending, give
             // concurrent connections batch_window_us to land theirs so one

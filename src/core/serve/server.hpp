@@ -6,16 +6,20 @@
 // load per call. The wire protocol is io/wire: powergear-art-v1 frames with
 // "req"/"resp" stage tags and per-frame checksums.
 //
-// Threading model (all state mutex/cv-guarded, TSan-clean):
+// Threading model (two threads at any connection count; all shared state
+// mutex/cv-guarded, TSan-clean):
 //
-//   accept thread      poll()s the listen socket, spawns one reader thread
-//                      per connection, and polls the reload/stop flags that
-//                      signal handlers (SIGHUP/SIGTERM in the CLI) set.
-//   reader threads     read + decode frames. Control ops (ping, reload,
-//                      shutdown) are answered inline; Estimate requests are
-//                      decoded to a dataset::Sample and pushed into the
-//                      admission queue. A full queue blocks the reader —
-//                      natural backpressure, never a drop.
+//   I/O thread         poll()s the listen socket and every connection. Each
+//                      wake does one bounded non-blocking recv into that
+//                      connection's frame buffer, never past the end of the
+//                      frame, and handles the frame once it is complete:
+//                      control ops (ping, reload, shutdown) are answered
+//                      inline; Estimate requests are decoded to a
+//                      dataset::Sample and pushed into the admission queue.
+//                      A full queue blocks this thread, so every
+//                      connection's reads pause — natural backpressure,
+//                      never a drop. It also acts on the reload/stop flags
+//                      that signal handlers (SIGHUP/SIGTERM in the CLI) set.
 //   batcher thread     pops up to max_batch pending requests (lingering
 //                      batch_window_us once one arrives, to coalesce
 //                      concurrent clients), snapshots the current model and
@@ -28,6 +32,12 @@
 //                      output element independently over an ascending
 //                      reduction index, so batch composition never changes
 //                      per-element arithmetic (DESIGN.md §13).
+//
+// Each connection owns its fd and closes it when the last reference drops:
+// the I/O thread lets go at EOF, and a queued request keeps the fd open
+// until it is answered, so no response can land on a recycled fd. Accepted
+// sockets carry a constant send timeout: a client that stops reading its
+// answers is shut down instead of stalling either thread.
 //
 // Model hot-swap: the live model is a shared_ptr<const PowerGear> plus a
 // generation counter, swapped under a mutex. In-flight batches keep their
@@ -62,7 +72,7 @@ struct ServerConfig {
     std::string model_path;  ///< ensemble artifact; re-read on every reload
     int max_batch = 64;          ///< admission-queue coalescing cap
     int batch_window_us = 200;   ///< linger for stragglers once a request lands
-    int max_queue = 1024;        ///< pending-request bound (readers block past it)
+    int max_queue = 1024;        ///< pending-request bound (reads pause past it)
 };
 
 class Server {
@@ -74,7 +84,7 @@ public:
     Server& operator=(const Server&) = delete;
 
     /// Load the model, bind the socket (replacing a stale socket file left
-    /// by a dead daemon) and spawn the accept + batcher threads. Throws on
+    /// by a dead daemon) and spawn the I/O + batcher threads. Throws on
     /// a missing/corrupt model, an unbindable path, or a live daemon
     /// already serving on it.
     void start();
@@ -90,12 +100,12 @@ public:
     /// queued requests are still answered; new connections are refused.
     void stop();
 
-    /// Async-signal-safe shutdown request (atomic flag; the accept thread
+    /// Async-signal-safe shutdown request (atomic flag; the I/O thread
     /// acts on it within its poll interval). The CLI's SIGTERM/SIGINT
     /// handlers call this.
     void poke_stop() { stop_flag_.store(true, std::memory_order_relaxed); }
 
-    /// Async-signal-safe hot-swap request — the SIGHUP handler. The accept
+    /// Async-signal-safe hot-swap request — the SIGHUP handler. The I/O
     /// thread performs the actual reload(); a failed reload keeps the old
     /// model serving and bumps the "reload_errors" counter.
     void poke_reload() { reload_flag_.store(true, std::memory_order_relaxed); }
@@ -120,8 +130,14 @@ public:
 
 private:
     struct Conn {
-        int fd = -1;
-        std::mutex write_mu; ///< batcher + reader both respond on this fd
+        explicit Conn(int fd) : fd(fd) {}
+        ~Conn();
+        Conn(const Conn&) = delete;
+        Conn& operator=(const Conn&) = delete;
+
+        const int fd;
+        std::mutex write_mu;          ///< batcher + I/O thread both respond
+        std::vector<std::uint8_t> in; ///< partial frame (I/O thread only)
     };
 
     struct Pending {
@@ -136,18 +152,22 @@ private:
         std::uint64_t generation = 0;
     };
 
-    void accept_loop();
-    void reader_loop(std::shared_ptr<Conn> conn);
+    void io_loop();
+    bool read_some(const std::shared_ptr<Conn>& conn);
+    void handle_frame(const std::shared_ptr<Conn>& conn,
+                      const std::vector<std::uint8_t>& frame);
     void batcher_loop();
-    void begin_shutdown();
     ModelState model_snapshot() const;
     void respond(Conn& conn, const io::ServeResponse& resp);
+    void respond_error(Conn& conn, const std::string& what,
+                       std::uint64_t id = 0,
+                       io::ServeOp op = io::ServeOp::Ping);
     io::ServeResponse handle_control(const io::ServeRequest& req);
 
     ServerConfig cfg_;
 
     int listen_fd_ = -1;
-    std::thread accept_thread_;
+    std::thread io_thread_;
     std::thread batcher_thread_;
 
     mutable std::mutex model_mu_;
@@ -155,14 +175,9 @@ private:
 
     std::mutex queue_mu_;
     std::condition_variable queue_cv_;   ///< batcher waits for work
-    std::condition_variable space_cv_;   ///< readers wait for queue space
+    std::condition_variable space_cv_;   ///< I/O thread waits for queue space
     std::deque<Pending> queue_;
-    int active_readers_ = 0;
-    bool stopping_ = false; ///< shutdown initiated; queue drains, no new conns
-
-    std::mutex conns_mu_;
-    std::vector<std::shared_ptr<Conn>> conns_;
-    std::vector<std::thread> reader_threads_;
+    bool stopping_ = false; ///< no request can arrive any more; queue drains
 
     std::atomic<bool> running_{false};
     std::atomic<bool> stop_flag_{false};

@@ -152,64 +152,6 @@ gnn::ModelConfig decode_config(Reader& r) {
 
 } // namespace
 
-// --- hls stage ---------------------------------------------------------------
-
-std::vector<std::uint8_t> encode_hls(const hls::Schedule& sched,
-                                     const hls::HlsReport& report) {
-    Writer w;
-    w.u64(sched.loops.size());
-    for (const hls::LoopSchedule& ls : sched.loops) {
-        w.i32(ls.loop);
-        w.u8(ls.pipelined ? 1 : 0);
-        w.i32(ls.ii);
-        w.i32(ls.iteration_latency);
-        w.i64(ls.total_latency);
-        w.i32(ls.states);
-    }
-    w.u64(sched.op_cycle.size());
-    for (int c : sched.op_cycle) w.i32(c);
-    w.i64(sched.total_latency);
-    w.i32(sched.fsm_states);
-
-    w.i32(report.lut);
-    w.i32(report.ff);
-    w.i32(report.dsp);
-    w.i32(report.bram);
-    w.i64(report.latency_cycles);
-    w.f64(report.clock_ns);
-    w.i32(report.fsm_states);
-    return w.take();
-}
-
-void decode_hls(const std::vector<std::uint8_t>& payload, hls::Schedule& sched,
-                hls::HlsReport& report) {
-    Reader r(payload);
-    sched = hls::Schedule{};
-    sched.loops.resize(checked_count(r, 21, "loop schedule"));
-    for (hls::LoopSchedule& ls : sched.loops) {
-        ls.loop = r.i32();
-        ls.pipelined = r.u8() != 0;
-        ls.ii = r.i32();
-        ls.iteration_latency = r.i32();
-        ls.total_latency = r.i64();
-        ls.states = r.i32();
-    }
-    sched.op_cycle.resize(checked_count(r, 4, "op cycle"));
-    for (int& c : sched.op_cycle) c = r.i32();
-    sched.total_latency = r.i64();
-    sched.fsm_states = r.i32();
-
-    report = hls::HlsReport{};
-    report.lut = r.i32();
-    report.ff = r.i32();
-    report.dsp = r.i32();
-    report.bram = r.i32();
-    report.latency_cycles = r.i64();
-    report.clock_ns = r.f64();
-    report.fsm_states = r.i32();
-    r.expect_done("hls payload");
-}
-
 // --- sim stage ---------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_trace(const sim::Trace& trace) {
@@ -234,21 +176,6 @@ sim::Trace decode_trace(const std::vector<std::uint8_t>& payload) {
     }
     r.expect_done("sim payload");
     return t;
-}
-
-// --- graphgen stage ----------------------------------------------------------
-
-std::vector<std::uint8_t> encode_graph(const graphgen::Graph& g) {
-    Writer w;
-    encode_graph_into(w, g);
-    return w.take();
-}
-
-graphgen::Graph decode_graph(const std::vector<std::uint8_t>& payload) {
-    Reader r(payload);
-    graphgen::Graph g = decode_graph_from(r);
-    r.expect_done("graph payload");
-    return g;
 }
 
 // --- sample stage ------------------------------------------------------------
@@ -388,7 +315,7 @@ std::vector<dse::Point> decode_points(const std::vector<std::uint8_t>& payload) 
     return pts;
 }
 
-// --- framed file conveniences ------------------------------------------------
+// --- model files --------------------------------------------------------------
 
 namespace {
 
@@ -406,46 +333,6 @@ std::vector<std::uint8_t> load_payload(const std::string& path,
 }
 
 } // namespace
-
-void save_hls_file(const std::string& path, const hls::Schedule& sched,
-                   const hls::HlsReport& report) {
-    write_file_atomic(path,
-                      frame(kStageHls, kHlsPayloadVersion,
-                            encode_hls(sched, report)));
-}
-
-void load_hls_file(const std::string& path, hls::Schedule& sched,
-                   hls::HlsReport& report) {
-    decode_hls(load_payload(path, kStageHls, kHlsPayloadVersion), sched,
-               report);
-}
-
-void save_trace_file(const std::string& path, const sim::Trace& trace) {
-    write_file_atomic(path,
-                      frame(kStageSim, kSimPayloadVersion, encode_trace(trace)));
-}
-
-sim::Trace load_trace_file(const std::string& path) {
-    return decode_trace(load_payload(path, kStageSim, kSimPayloadVersion));
-}
-
-void save_graph_file(const std::string& path, const graphgen::Graph& g) {
-    write_file_atomic(path,
-                      frame(kStageGraph, kGraphPayloadVersion, encode_graph(g)));
-}
-
-graphgen::Graph load_graph_file(const std::string& path) {
-    return decode_graph(load_payload(path, kStageGraph, kGraphPayloadVersion));
-}
-
-void save_sample_file(const std::string& path, const dataset::Sample& s) {
-    write_file_atomic(
-        path, frame(kStageSample, kSamplePayloadVersion, encode_sample(s)));
-}
-
-dataset::Sample load_sample_file(const std::string& path) {
-    return decode_sample(load_payload(path, kStageSample, kSamplePayloadVersion));
-}
 
 void save_ensemble_file(const std::string& path, const gnn::Ensemble& e) {
     write_file_atomic(

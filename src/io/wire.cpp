@@ -77,6 +77,18 @@ ServeResponse decode_serve_response(const std::vector<std::uint8_t>& payload) {
     return resp;
 }
 
+sockaddr_un unix_address(const std::string& path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.empty() || path.size() >= sizeof(addr.sun_path))
+        throw std::invalid_argument(
+            "serve: socket path must be 1.." +
+            std::to_string(sizeof(addr.sun_path) - 1) + " bytes (got '" +
+            path + "')");
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    return addr;
+}
+
 namespace {
 
 /// Read exactly `n` bytes into `out`. Returns the byte count actually read:
@@ -112,24 +124,18 @@ bool send_frame(int fd, const std::vector<std::uint8_t>& framed) {
             continue;
         }
         if (k < 0 && errno == EINTR) continue;
-        if (k < 0 && (errno == EPIPE || errno == ECONNRESET)) return false;
+        if (k < 0 && (errno == EPIPE || errno == ECONNRESET ||
+                      errno == EAGAIN || errno == EWOULDBLOCK))
+            return false;
         throw std::runtime_error(std::string("serve: socket write failed: ") +
                                  std::strerror(errno));
     }
     return true;
 }
 
-std::optional<std::vector<std::uint8_t>> recv_frame(int fd) {
-    std::vector<std::uint8_t> frame(kHeaderSize);
-    const std::size_t got = read_exact(fd, frame.data(), kHeaderSize);
-    if (got == 0) return std::nullopt; // clean EOF between frames
-    if (got < kHeaderSize)
-        throw std::runtime_error("serve: stream truncated inside a frame "
-                                 "header (" +
-                                 std::to_string(got) + " of " +
-                                 std::to_string(kHeaderSize) + " bytes)");
-    const std::optional<ArtifactInfo> info =
-        peek_header(frame.data(), frame.size());
+std::size_t frame_size(const std::uint8_t* bytes, std::size_t n) {
+    if (n < kHeaderSize) return 0;
+    const std::optional<ArtifactInfo> info = peek_header(bytes, kHeaderSize);
     if (!info)
         throw std::runtime_error(
             "serve: malformed frame header (bad magic or container version)");
@@ -137,16 +143,31 @@ std::optional<std::vector<std::uint8_t>> recv_frame(int fd) {
         throw std::runtime_error("serve: frame payload of " +
                                  std::to_string(info->payload_size) +
                                  " bytes exceeds limit");
-    frame.resize(kHeaderSize + static_cast<std::size_t>(info->payload_size));
-    const std::size_t body = read_exact(
-        fd, frame.data() + kHeaderSize,
-        static_cast<std::size_t>(info->payload_size));
-    if (body < info->payload_size)
-        throw std::runtime_error("serve: stream truncated inside a frame "
-                                 "payload (" +
-                                 std::to_string(body) + " of " +
-                                 std::to_string(info->payload_size) +
-                                 " bytes)");
+    return kHeaderSize + static_cast<std::size_t>(info->payload_size);
+}
+
+std::runtime_error truncated_frame(const std::uint8_t* bytes, std::size_t n) {
+    if (n < kHeaderSize)
+        return std::runtime_error("serve: stream truncated inside a frame "
+                                  "header (" +
+                                  std::to_string(n) + " of " +
+                                  std::to_string(kHeaderSize) + " bytes)");
+    return std::runtime_error("serve: stream truncated inside a frame "
+                              "payload (" +
+                              std::to_string(n - kHeaderSize) + " of " +
+                              std::to_string(frame_size(bytes, n) -
+                                             kHeaderSize) +
+                              " bytes)");
+}
+
+std::optional<std::vector<std::uint8_t>> recv_frame(int fd) {
+    std::vector<std::uint8_t> frame(kHeaderSize);
+    std::size_t got = read_exact(fd, frame.data(), kHeaderSize);
+    if (got == 0) return std::nullopt; // clean EOF between frames
+    if (got < kHeaderSize) throw truncated_frame(frame.data(), got);
+    frame.resize(frame_size(frame.data(), got));
+    got += read_exact(fd, frame.data() + got, frame.size() - got);
+    if (got < frame.size()) throw truncated_frame(frame.data(), got);
     return frame;
 }
 

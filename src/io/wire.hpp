@@ -28,8 +28,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/un.h>
 
 #include "io/artifact.hpp"
 
@@ -91,15 +94,29 @@ std::vector<std::uint8_t> encode_serve_response(const ServeResponse& resp);
 ServeResponse decode_serve_response(const std::vector<std::uint8_t>& payload);
 
 // --- framed socket transport -------------------------------------------------
+/// The Unix-domain address for `path`. Throws std::invalid_argument when the
+/// path is empty or too long for sun_path.
+sockaddr_un unix_address(const std::string& path);
+
 /// Write a full framed artifact to `fd`, retrying short writes. Returns
-/// false when the peer is gone (EPIPE/ECONNRESET); throws on other errors.
+/// false when the peer is gone (EPIPE/ECONNRESET) or a send timeout
+/// (SO_SNDTIMEO) expired; throws on other errors.
 bool send_frame(int fd, const std::vector<std::uint8_t>& framed);
 
-/// Read one framed artifact off `fd`: header first (its payload length
-/// bounds the read), then the payload. Returns nullopt on clean EOF before
-/// any byte of a frame; throws std::runtime_error on a malformed header,
-/// an oversized payload, or a stream truncated mid-frame. The returned
-/// bytes are a complete frame — validate with io::unframe as usual.
+/// Size (header + payload) of the frame that starts at `bytes`, or 0 while
+/// fewer than kHeaderSize of its bytes are at hand. Throws
+/// std::runtime_error on a malformed header or an oversized payload.
+std::size_t frame_size(const std::uint8_t* bytes, std::size_t n);
+
+/// The diagnostic for a stream that ended `n` bytes into the frame that
+/// starts at `bytes` (0 < n < that frame's size).
+std::runtime_error truncated_frame(const std::uint8_t* bytes, std::size_t n);
+
+/// Read one framed artifact off a blocking `fd`. Returns nullopt on clean
+/// EOF before any byte of a frame; throws std::runtime_error on a malformed
+/// header, an oversized payload (frame_size), or a stream truncated
+/// mid-frame (truncated_frame). The returned bytes are a complete frame —
+/// validate with io::unframe as usual.
 std::optional<std::vector<std::uint8_t>> recv_frame(int fd);
 
 } // namespace powergear::io

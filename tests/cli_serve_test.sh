@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ctest integration test for the serve daemon CLI surface: train a tiny
 # model, run `powergear serve`, exercise ping/reload/SIGHUP/stop against it,
-# check the drain metrics, the live-daemon bind refusal, and the usage-error
-# contract of the declarative option layer (exit 2 + did-you-mean).
+# check the drain metrics, the live-daemon bind refusal, a flat fd count
+# under connection churn, and the usage-error contract of the declarative
+# option layer (exit 2 + did-you-mean).
 # Registered by tools/CMakeLists.txt with the built CLI as $1.
 set -euo pipefail
 
@@ -73,6 +74,34 @@ serve = rep["phases"].get("serve", {})
 assert serve.get("counters", {}).get("reloads", 0) >= 2, \
     f"serve metrics missed the reloads: {serve}"
 EOF
+
+echo "--- connection churn leaves the daemon's fd count flat"
+# 100 one-shot clients against a daemon limited to 48 fds: a daemon that
+# kept one fd per finished connection would run out and stop answering.
+(ulimit -n 48 && exec "$CLI" serve --model model.pgm --socket "$sock") \
+    2> churn.log &
+daemon_pid=$!
+for _ in $(seq 1 100); do
+    [ -S "$sock" ] && break
+    sleep 0.05
+done
+timeout 10 "$CLI" serve --socket "$sock" --ping > /dev/null ||
+    { echo "FAIL: churn daemon never answered"; cat churn.log; exit 1; }
+fds_before=$(ls "/proc/$daemon_pid/fd" | wc -l)
+for i in $(seq 1 100); do
+    timeout 10 "$CLI" serve --socket "$sock" --ping > /dev/null ||
+        { echo "FAIL: ping $i of 100 failed"; cat churn.log; exit 1; }
+done
+for _ in $(seq 1 20); do
+    fds_after=$(ls "/proc/$daemon_pid/fd" | wc -l)
+    [ "$fds_after" -le "$fds_before" ] && break
+    sleep 0.05
+done
+[ "$fds_after" -le "$fds_before" ] ||
+    { echo "FAIL: daemon fds grew $fds_before -> $fds_after"; exit 1; }
+"$CLI" serve --socket "$sock" --stop > /dev/null
+wait "$daemon_pid" || { echo "FAIL: churn daemon exited nonzero"; cat churn.log; exit 1; }
+daemon_pid=""
 
 echo "--- usage errors exit 2 with suggestions"
 rc=0; "$CLI" serve --sokcet "$sock" 2> err.txt || rc=$?

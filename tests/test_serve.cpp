@@ -2,7 +2,8 @@
 // a live socket, request coalescing (bit-identical to a serial
 // estimate_batch), model hot-swap atomicity under concurrent load, and
 // socket lifecycle (stale-file takeover, live-daemon refusal, clean drain),
-// and surviving fd exhaustion on accept.
+// surviving fd exhaustion on accept, connection churn without fd leaks, and
+// clients that stop reading or stall mid-frame.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -115,9 +119,7 @@ void put_model(const std::string& path, bool a) {
 struct RawConn {
     int fd = -1;
     explicit RawConn(const std::string& path) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        const sockaddr_un addr = io::unix_address(path);
         fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         EXPECT_GE(fd, 0);
         EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
@@ -146,6 +148,58 @@ std::vector<std::uint8_t> framed_ping(std::uint64_t id) {
     return io::frame(io::kStageServeReq, io::kServeReqVersion,
                      io::encode_serve_request(req));
 }
+
+std::vector<std::uint8_t> framed_estimate(std::uint64_t id,
+                                          const dataset::Sample& s) {
+    io::ServeRequest req;
+    req.id = id;
+    req.op = io::ServeOp::Estimate;
+    req.sample_payload = io::encode_sample(s);
+    return io::frame(io::kStageServeReq, io::kServeReqVersion,
+                     io::encode_serve_request(req));
+}
+
+/// Bound every read on `fd`, so a daemon that stopped answering fails the
+/// test instead of hanging it.
+void set_recv_timeout(int fd, int seconds) {
+    const timeval timeout{seconds, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+}
+
+/// Open fds of this process, which hosts the daemon under test as well.
+int open_fds() {
+    using std::filesystem::directory_iterator;
+    return static_cast<int>(std::distance(directory_iterator("/proc/self/fd"),
+                                          directory_iterator{}));
+}
+
+/// Poll `done` every 10 ms for up to `seconds`; true once it holds.
+template <typename Pred>
+bool eventually(Pred done, double seconds) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return true;
+}
+
+/// Restores the fd limit and closes every filler fd, even when an
+/// assertion returns early.
+struct FdPressure {
+    rlimit saved{};
+    std::vector<int> fillers;
+    FdPressure() = default;
+    FdPressure(const FdPressure&) = delete;
+    FdPressure& operator=(const FdPressure&) = delete;
+    ~FdPressure() {
+        for (int fd : fillers) ::close(fd);
+        ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+};
 
 } // namespace
 
@@ -443,6 +497,51 @@ TEST(ServeSocket, ShutdownRequestDrainsCleanly) {
     EXPECT_EQ(server.stats().requests, 1u);
     // Socket file removed on drain.
     EXPECT_NE(::access(sock.c_str(), F_OK), 0);
+
+    // Requests that arrived before the Shutdown are answered, even when
+    // they share one write with it (and span more than one read).
+    const std::string sock2 = fresh_socket_path();
+    Server drained(ServerConfig{sock2, model});
+    drained.start();
+    constexpr std::uint64_t kN = 48;
+    const auto& samples = world().eval.samples;
+    std::vector<std::uint8_t> burst;
+    for (std::uint64_t i = 0; i < kN; ++i) {
+        const std::vector<std::uint8_t> f =
+            framed_estimate(i, samples[i % samples.size()]);
+        burst.insert(burst.end(), f.begin(), f.end());
+    }
+    io::ServeRequest stop;
+    stop.id = kN;
+    stop.op = io::ServeOp::Shutdown;
+    const std::vector<std::uint8_t> stop_frame =
+        io::frame(io::kStageServeReq, io::kServeReqVersion,
+                  io::encode_serve_request(stop));
+    burst.insert(burst.end(), stop_frame.begin(), stop_frame.end());
+    ASSERT_GT(burst.size(), std::size_t{64} << 10);
+
+    RawConn conn(sock2);
+    set_recv_timeout(conn.fd, 5);
+    conn.send_bytes(burst);
+    std::vector<bool> answered(kN + 1, false);
+    try {
+        for (std::uint64_t got = 0; got <= kN; ++got) {
+            const io::ServeResponse r = conn.read_response();
+            ASSERT_LE(r.id, kN);
+            EXPECT_EQ(r.status, 0) << r.error;
+            EXPECT_FALSE(answered[r.id]) << r.id;
+            answered[r.id] = true;
+            if (r.id < kN) {
+                EXPECT_EQ(r.watts,
+                          world().expect_a[r.id % samples.size()].watts);
+            }
+        }
+        EXPECT_FALSE(io::recv_frame(conn.fd).has_value()); // then EOF
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "drain lost a request: " << e.what();
+    }
+    drained.wait();
+    EXPECT_EQ(drained.stats().requests, kN);
 }
 
 // Running out of fds is ordinary load, not a reason to stop serving. Lower
@@ -457,19 +556,7 @@ TEST(ServeSocket, SurvivesFdExhaustionOnAccept) {
     Server server(ServerConfig{sock, model});
     server.start();
 
-    // Restores the fd limit and closes every filler fd, even when an
-    // assertion returns early.
-    struct FdPressure {
-        rlimit saved{};
-        std::vector<int> fillers;
-        FdPressure() = default;
-        FdPressure(const FdPressure&) = delete;
-        FdPressure& operator=(const FdPressure&) = delete;
-        ~FdPressure() {
-            for (int fd : fillers) ::close(fd);
-            ::setrlimit(RLIMIT_NOFILE, &saved);
-        }
-    } pressure;
+    FdPressure pressure;
     ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &pressure.saved), 0);
     const int probe = ::open("/dev/null", O_RDONLY);
     ASSERT_GE(probe, 0);
@@ -519,6 +606,156 @@ TEST(ServeSocket, SurvivesFdExhaustionOnAccept) {
                       << e.what();
     }
     live.clear();
+    server.stop();
+}
+
+// Short-lived clients must not use up the daemon: every closed connection
+// gives its fd back. Under a limit only ~32 fds above current use, 200
+// connect -> ping -> close cycles would exhaust the table if any leaked.
+TEST(ServeSocket, ConnectionChurnReleasesFds) {
+    const std::string sock = fresh_socket_path();
+    const std::string model = sock + ".pgm";
+    TempFile model_guard(model);
+    put_model(model, true); // also builds world() while fds are plentiful
+    Server server(ServerConfig{sock, model});
+    server.start();
+
+    FdPressure pressure;
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &pressure.saved), 0);
+    const int before = open_fds();
+    const int probe = ::open("/dev/null", O_RDONLY); // lowest free fd
+    ASSERT_GE(probe, 0);
+    ::close(probe);
+    rlimit low = pressure.saved;
+    low.rlim_cur =
+        std::min<rlim_t>(low.rlim_cur, static_cast<rlim_t>(probe) + 32);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        RawConn conn(sock);
+        ASSERT_GE(conn.fd, 0) << "cycle " << i;
+        set_recv_timeout(conn.fd, 5);
+        conn.send_bytes(framed_ping(i));
+        try {
+            ASSERT_EQ(conn.read_response().id, i);
+        } catch (const std::exception& e) {
+            FAIL() << "ping " << i << " unanswered: " << e.what();
+        }
+    }
+
+    {
+        RawConn fresh(sock);
+        set_recv_timeout(fresh.fd, 5);
+        try {
+            fresh.send_bytes(framed_ping(1000));
+            EXPECT_EQ(fresh.read_response().id, 1000u);
+            fresh.send_bytes(
+                framed_estimate(1001, world().eval.samples.front()));
+            const io::ServeResponse r = fresh.read_response();
+            EXPECT_EQ(r.status, 0) << r.error;
+            EXPECT_EQ(r.watts, world().expect_a.front().watts);
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "daemon stopped answering after churn: "
+                          << e.what();
+        }
+    }
+    // The daemon closes its end right after each client's EOF.
+    EXPECT_TRUE(eventually([&] { return open_fds() <= before + 3; }, 2.0))
+        << open_fds() << " fds open, " << before << " before the churn";
+    server.stop();
+}
+
+// A client that pipelines requests and never reads its answers fills its
+// receive side; the daemon's response writes to it then block. That must
+// cost other clients at most the send timeout, not the daemon. A client
+// that sends half a frame and stalls delays nobody, and its close counts
+// as exactly one error.
+TEST(ServeSocket, ClientThatStopsReadingIsDroppedNotWaitedOn) {
+    const std::string sock = fresh_socket_path();
+    const std::string model = sock + ".pgm";
+    TempFile model_guard(model);
+    put_model(model, true);
+    Server server(ServerConfig{sock, model});
+    server.start();
+
+    const dataset::Sample& sample = world().eval.samples.front();
+    const std::vector<std::uint8_t> half_frame = [&] {
+        std::vector<std::uint8_t> f = framed_estimate(1, sample);
+        f.resize(f.size() / 2);
+        return f;
+    }();
+    auto stalled = std::make_unique<RawConn>(sock);
+    stalled->send_bytes(half_frame);
+
+    RawConn other(sock);
+    set_recv_timeout(other.fd, 5);
+    other.send_bytes(framed_ping(1));
+    ASSERT_EQ(other.read_response().id, 1u);
+    const int fds_before_mute = open_fds();
+
+    // The mute client pipelines estimates and pings without reading until
+    // the daemon stops taking its bytes for half a second.
+    auto mute = std::make_unique<RawConn>(sock);
+    std::size_t frames = 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (bool full = false; !full && std::chrono::steady_clock::now() < give_up;
+         ++frames) {
+        const std::vector<std::uint8_t> f =
+            frames % 2 == 0 ? framed_estimate(frames, sample)
+                            : framed_ping(frames);
+        for (std::size_t off = 0; off < f.size() && !full;) {
+            const ssize_t k = ::send(mute->fd, f.data() + off, f.size() - off,
+                                     MSG_DONTWAIT | MSG_NOSIGNAL);
+            if (k > 0) {
+                off += static_cast<std::size_t>(k);
+                continue;
+            }
+            ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+                << std::strerror(errno);
+            pollfd p{mute->fd, POLLOUT, 0};
+            full = ::poll(&p, 1, 500) == 0;
+        }
+    }
+    ASSERT_GT(frames, 16u);
+
+    // Answered within the daemon's 2 s send timeout plus a margin.
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        other.send_bytes(framed_estimate(2, sample));
+        const io::ServeResponse r = other.read_response();
+        EXPECT_EQ(r.id, 2u);
+        EXPECT_EQ(r.watts, world().expect_a.front().watts);
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "a client that stopped reading stalled the daemon: "
+                      << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(4));
+
+    // The daemon dropped the mute client: past the answers it never read,
+    // it reads EOF.
+    set_recv_timeout(mute->fd, 5);
+    std::uint8_t sink[4096];
+    ssize_t got = 0;
+    while ((got = ::recv(mute->fd, sink, sizeof sink, 0)) > 0) {
+    }
+    EXPECT_EQ(got, 0) << std::strerror(errno);
+
+    // Once the mute client is gone, the daemon holds none of its fds.
+    mute.reset();
+    EXPECT_TRUE(
+        eventually([&] { return open_fds() <= fds_before_mute; }, 5.0))
+        << open_fds() << " fds open, " << fds_before_mute << " before";
+
+    const std::uint64_t errors = server.stats().errors;
+    stalled.reset(); // EOF inside a frame payload: one diagnostic
+    EXPECT_TRUE(eventually(
+        [&] { return server.stats().errors != errors; }, 2.0));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(server.stats().errors, errors + 1);
+
+    other.send_bytes(framed_ping(3));
+    EXPECT_EQ(other.read_response().id, 3u);
     server.stop();
 }
 
