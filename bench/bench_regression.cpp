@@ -102,7 +102,7 @@ BenchResult run_bench(const std::string& name, int reps, Fn&& fn,
     return r;
 }
 
-/// The micro-kernel fixture from bench/micro_kernels.cpp, shared setup.
+/// The micro-kernel fixture (gemm-16 design), shared setup.
 struct Prepared {
     ir::Function fn;
     sim::Trace trace;
@@ -522,12 +522,12 @@ int main(int argc, char** argv) {
             // reference the streamed (gated, promoted-only) frontier is
             // scored against.
             std::vector<dse::Point> exact;
-            dse::CandidateStream replay(space, 0, 1, scfg.max_points);
-            while (auto idx = replay.next()) {
-                const dse::ScoredPoint sp = dse_bench_score(*idx);
-                exact.push_back(dse::Point{
-                    sp.latency, truth(*idx, sp),
-                    static_cast<std::int64_t>(*idx)});
+            dse::CandidateStream replay(space);
+            for (std::uint64_t k = 0; k < scfg.max_points; ++k) {
+                const std::uint64_t idx = *replay.next();
+                const dse::ScoredPoint sp = dse_bench_score(idx);
+                exact.push_back(dse::Point{sp.latency, truth(idx, sp),
+                                           static_cast<std::int64_t>(idx)});
             }
             std::printf(
                 "  %-22s ADRS %.4f  front %zu/%zu  promoted %llu  peak RSS "

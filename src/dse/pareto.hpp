@@ -2,8 +2,8 @@
 // Both objectives are minimized.
 //
 // `pareto_front` is the brute-force oracle: recompute-from-scratch, O(n log n)
-// per call, used by tests and the legacy iterative explorer. The streaming
-// explorer maintains the same frontier incrementally through
+// per call, used by tests and by the iterative explorer (dse::Explorer).
+// The streaming explorer maintains the same frontier incrementally through
 // dse::ParetoArchive (src/dse/pareto/archive.hpp), which is property-tested
 // for bit-identical output against this oracle.
 #pragma once

@@ -134,10 +134,6 @@ void ParetoArchive::enforce_cap() {
     while (size() > cfg_.max_size) escalate();
 }
 
-void ParetoArchive::merge(const ParetoArchive& other) {
-    for (const Point& p : other.front()) insert(p);
-}
-
 std::vector<Point> ParetoArchive::front() const {
     std::vector<Point> out;
     out.reserve(size());

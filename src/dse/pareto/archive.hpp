@@ -55,9 +55,6 @@ public:
     /// dominance order. Insert order does not affect the final frontier.
     bool insert(const Point& p);
 
-    /// Insert every point of another archive's frontier (shard merge).
-    void merge(const ParetoArchive& other);
-
     /// Current frontier, sorted by (latency, power, index) ascending. In
     /// exact mode this equals pareto_front() of every point ever inserted.
     std::vector<Point> front() const;

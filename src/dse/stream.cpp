@@ -10,8 +10,6 @@ namespace powergear::dse {
 
 namespace {
 
-constexpr std::uint64_t kCursorMagic = 0x70676373'7230315FULL; // "pgcsr01_"
-
 /// Golden-ratio stride, bumped to the next value coprime to `n` so
 /// g -> (g * stride) mod n is a bijection. n - 1 is always coprime to n,
 /// so the bump terminates before wrapping.
@@ -30,27 +28,23 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
         (static_cast<unsigned __int128>(a) * b) % m);
 }
 
+/// Positions a chunked sweep covers: the first `limit` (0 = all).
+std::uint64_t swept_positions(std::uint64_t space_size, std::uint64_t limit) {
+    return limit > 0 && limit < space_size ? limit : space_size;
+}
+
 } // namespace
 
-CandidateStream::CandidateStream(std::uint64_t space_size, std::uint64_t shard,
-                                 std::uint64_t num_shards, std::uint64_t limit)
-    : size_(space_size), shard_(shard), num_shards_(num_shards) {
+CandidateStream::CandidateStream(std::uint64_t space_size)
+    : size_(space_size) {
     if (size_ == 0)
         throw std::invalid_argument("CandidateStream: empty design space");
-    if (num_shards_ == 0 || shard_ >= num_shards_)
-        throw std::invalid_argument("CandidateStream: shard out of range");
     stride_ = pick_stride(size_);
-    positions_ = limit > 0 && limit < size_ ? limit : size_;
-    total_ = positions_ > shard_
-                 ? (positions_ - shard_ - 1) / num_shards_ + 1
-                 : 0;
 }
 
 std::optional<std::uint64_t> CandidateStream::next() {
-    if (pos_ >= total_) return std::nullopt;
-    const std::uint64_t global = pos_ * num_shards_ + shard_;
-    ++pos_;
-    return mulmod(global, stride_, size_);
+    if (pos_ >= size_) return std::nullopt;
+    return mulmod(pos_++, stride_, size_);
 }
 
 std::size_t CandidateStream::next_chunk(std::size_t max,
@@ -70,9 +64,6 @@ std::uint64_t CandidateStream::signature() const {
         .feed(std::string("dse-stream"))
         .feed(size_)
         .feed(stride_)
-        .feed(shard_)
-        .feed(num_shards_)
-        .feed(positions_)
         .value();
 }
 
@@ -84,55 +75,31 @@ void CandidateStream::seek(const Cursor& c) {
     if (c.signature != signature())
         throw std::invalid_argument(
             "CandidateStream::seek: cursor from a different stream geometry");
-    if (c.pos > total_)
+    if (c.pos > size_)
         throw std::invalid_argument(
             "CandidateStream::seek: cursor position out of range");
     pos_ = c.pos;
-}
-
-std::vector<std::uint8_t> CandidateStream::Cursor::serialize() const {
-    io::Writer w;
-    w.u64(kCursorMagic);
-    w.u64(signature);
-    w.u64(pos);
-    w.u64(io::fnv1a(w.bytes().data(), w.bytes().size()));
-    return w.bytes();
-}
-
-std::optional<CandidateStream::Cursor> CandidateStream::Cursor::deserialize(
-    const std::vector<std::uint8_t>& bytes) {
-    if (bytes.size() != 32) return std::nullopt;
-    if (io::fnv1a(bytes.data(), 24) !=
-        io::Reader(bytes.data() + 24, 8).u64())
-        return std::nullopt;
-    io::Reader r(bytes.data(), 24);
-    if (r.u64() != kCursorMagic) return std::nullopt;
-    Cursor c;
-    c.signature = r.u64();
-    c.pos = r.u64();
-    return c;
 }
 
 std::uint64_t CandidateStream::num_chunks(std::uint64_t space_size,
                                           std::uint64_t chunk,
                                           std::uint64_t limit) {
     if (space_size == 0 || chunk == 0) return 0;
-    const std::uint64_t positions =
-        limit > 0 && limit < space_size ? limit : space_size;
-    return (positions + chunk - 1) / chunk;
+    const std::uint64_t positions = swept_positions(space_size, limit);
+    // Ceiling without `positions + chunk - 1`, which wraps for huge chunks.
+    return positions / chunk + (positions % chunk != 0 ? 1 : 0);
 }
 
 std::vector<std::uint64_t> CandidateStream::chunk_indices(
     std::uint64_t space_size, std::uint64_t chunk_id, std::uint64_t chunk,
     std::uint64_t limit) {
     std::vector<std::uint64_t> out;
-    if (space_size == 0 || chunk == 0) return out;
-    const std::uint64_t positions =
-        limit > 0 && limit < space_size ? limit : space_size;
+    if (chunk_id >= num_chunks(space_size, chunk, limit)) return out;
+    const std::uint64_t positions = swept_positions(space_size, limit);
     const std::uint64_t stride = pick_stride(space_size);
+    // chunk_id < num_chunks keeps begin < positions, so neither sum wraps.
     const std::uint64_t begin = chunk_id * chunk;
-    if (begin >= positions) return out;
-    const std::uint64_t end = std::min(positions, begin + chunk);
+    const std::uint64_t end = begin + std::min(chunk, positions - begin);
     out.reserve(static_cast<std::size_t>(end - begin));
     for (std::uint64_t g = begin; g < end; ++g)
         out.push_back(mulmod(g, stride, space_size));

@@ -8,19 +8,15 @@
 // the space evenly, so a budget-truncated sweep is already a decent sample.
 // Memory per stream is O(1) at any space size.
 //
-// Sharding: a stream constructed as shard s of N yields the global
-// positions congruent to s mod N, so the N shard streams partition the
-// space exactly and their union (at any interleaving) equals the unsharded
-// stream's output set. Chunk addressing (`chunk_indices`) is defined on the
-// *global* position space, shard-independent, which is what the
-// work-stealing manifest claims.
+// Splitting a sweep: `chunk_indices` cuts the same global visit order into
+// fixed-size chunks, identical for every caller; that is what the sharded
+// sweep's work-stealing manifest claims (dse/shard.hpp). A streaming sweep
+// is capped by StreamConfig::max_points, not by the stream.
 //
-// Resumability: `cursor()` captures the stream position as a small
-// serializable record bound to a signature hash of the stream geometry
-// (size, stride, shard, limit). `seek` rejects a cursor minted by a
-// different geometry, and `Cursor::deserialize` rejects corrupt bytes
-// (checksum), so a stale or damaged cursor degrades to restarting the
-// sweep, never to silently scanning the wrong points.
+// Resumability: `cursor()` captures the stream position bound to a
+// signature hash of the stream geometry (size, stride). `seek` rejects a
+// cursor minted by a different geometry or past the end, so a stale cursor
+// degrades to an error, never to silently scanning the wrong points.
 #pragma once
 
 #include <cstdint>
@@ -33,39 +29,23 @@ class CandidateStream {
 public:
     struct Cursor {
         std::uint64_t signature = 0; ///< stream geometry this cursor binds to
-        std::uint64_t pos = 0;       ///< next shard-local position
-
-        std::vector<std::uint8_t> serialize() const;
-        /// nullopt on truncation, bad magic or checksum mismatch.
-        static std::optional<Cursor> deserialize(
-            const std::vector<std::uint8_t>& bytes);
+        std::uint64_t pos = 0;       ///< next position in the visit order
     };
 
-    /// Stream over space indices [0, space_size), shard `shard` of
-    /// `num_shards` (0-based). `limit` > 0 truncates the sweep to the first
-    /// `limit` global positions of the permuted order (budget cap on huge
-    /// spaces). Throws std::invalid_argument on an empty space or
-    /// shard >= num_shards.
-    explicit CandidateStream(std::uint64_t space_size, std::uint64_t shard = 0,
-                             std::uint64_t num_shards = 1,
-                             std::uint64_t limit = 0);
+    /// Stream over space indices [0, space_size). Throws
+    /// std::invalid_argument on an empty space.
+    explicit CandidateStream(std::uint64_t space_size);
 
     std::uint64_t space_size() const { return size_; }
-    std::uint64_t stride() const { return stride_; }
-    /// Global positions this sweep covers (min(space_size, limit)).
-    std::uint64_t positions() const { return positions_; }
-    /// Points this shard yields in total.
-    std::uint64_t total() const { return total_; }
-    std::uint64_t remaining() const { return total_ - pos_; }
-    bool done() const { return pos_ >= total_; }
+    bool done() const { return pos_ >= size_; }
 
-    /// Next space index, or nullopt when the shard is drained.
+    /// Next space index, or nullopt when the stream is drained.
     std::optional<std::uint64_t> next();
     /// Append up to `max` next indices to `out`; returns how many.
     std::size_t next_chunk(std::size_t max, std::vector<std::uint64_t>& out);
 
     Cursor cursor() const;
-    /// Resume from a cursor minted by an identically-constructed stream.
+    /// Resume from a cursor minted by a stream over the same space.
     /// Throws std::invalid_argument on a signature mismatch or
     /// out-of-range position.
     void seek(const Cursor& c);
@@ -73,14 +53,13 @@ public:
     /// Geometry signature (what cursors bind to).
     std::uint64_t signature() const;
 
-    // --- chunk addressing (work-stealing units, shard-independent) --------
+    // --- chunk addressing (the sharded sweep's work-stealing units) -------
     /// Number of `chunk`-sized units covering the first
-    /// min(space_size, limit) global positions.
+    /// min(space_size, limit) positions (limit 0 = the whole space).
     static std::uint64_t num_chunks(std::uint64_t space_size,
                                     std::uint64_t chunk,
                                     std::uint64_t limit = 0);
-    /// Space indices of global chunk `chunk_id` — identical for every
-    /// worker, whatever its shard.
+    /// Space indices of chunk `chunk_id` — identical for every worker.
     static std::vector<std::uint64_t> chunk_indices(std::uint64_t space_size,
                                                     std::uint64_t chunk_id,
                                                     std::uint64_t chunk,
@@ -89,11 +68,7 @@ public:
 private:
     std::uint64_t size_ = 0;
     std::uint64_t stride_ = 1;
-    std::uint64_t shard_ = 0;
-    std::uint64_t num_shards_ = 1;
-    std::uint64_t positions_ = 0; ///< global positions covered by the sweep
-    std::uint64_t total_ = 0;     ///< shard-local point count
-    std::uint64_t pos_ = 0;       ///< next shard-local position
+    std::uint64_t pos_ = 0; ///< next position in the visit order
 };
 
 } // namespace powergear::dse

@@ -8,19 +8,6 @@
 
 namespace powergear::dse {
 
-namespace {
-
-bool fronts_equal(const std::vector<Point>& a, const std::vector<Point>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].latency != b[i].latency || a[i].power != b[i].power ||
-            a[i].index != b[i].index)
-            return false;
-    return true;
-}
-
-} // namespace
-
 StreamingExplorer::StreamingExplorer(StreamConfig cfg) : cfg_(cfg) {
     if (cfg_.chunk == 0)
         throw std::invalid_argument("StreamingExplorer: chunk must be > 0");
@@ -29,20 +16,14 @@ StreamingExplorer::StreamingExplorer(StreamConfig cfg) : cfg_(cfg) {
             "StreamingExplorer: spread_gate must be >= 0");
 }
 
-// The one copy of the stream/score/promote loop. `accept` answers "did this
-// predicted point enter the frontier" (incremental archive in run(),
-// brute-force oracle in run_materialized()); `sink` receives every promoted
-// truth point. Keeping both paths on the same loop is what makes the
-// bit-identity property meaningful: only the frontier data structure
-// differs.
-template <typename AcceptPred, typename TruthSink>
-StreamStats StreamingExplorer::drive(CandidateStream& stream,
-                                     const ChunkScorer& score,
-                                     const TruthFn& truth, AcceptPred&& accept,
-                                     TruthSink&& sink) const {
+StreamResult StreamingExplorer::run(CandidateStream& stream,
+                                    const ChunkScorer& score,
+                                    const TruthFn& truth) const {
     if (!score) throw std::invalid_argument("StreamingExplorer: null scorer");
     if (!truth) throw std::invalid_argument("StreamingExplorer: null truth");
     const obs::Scope obs_scope(obs::Phase::Dse);
+    ParetoArchive predicted(cfg_.archive);
+    ParetoArchive actual(cfg_.archive);
     StreamStats st;
     double spread_sum = 0.0;
     std::vector<std::uint64_t> chunk;
@@ -56,7 +37,6 @@ StreamStats StreamingExplorer::drive(CandidateStream& stream,
         }
         chunk.clear();
         if (stream.next_chunk(want, chunk) == 0) break;
-        st.streamed += chunk.size();
         const std::vector<ScoredPoint> scored =
             score(std::span<const std::uint64_t>(chunk));
         if (scored.size() != chunk.size())
@@ -68,9 +48,8 @@ StreamStats StreamingExplorer::drive(CandidateStream& stream,
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             const std::uint64_t idx = chunk[i];
             const ScoredPoint& sp = scored[i];
-            const Point pred{sp.latency, sp.power,
-                             static_cast<std::int64_t>(idx)};
-            if (accept(pred)) {
+            if (predicted.insert(Point{sp.latency, sp.power,
+                                       static_cast<std::int64_t>(idx)})) {
                 ++st.archived;
                 // Mean over *previously* scored points: the decision for
                 // point k never depends on k's own spread, so truncating or
@@ -82,58 +61,18 @@ StreamStats StreamingExplorer::drive(CandidateStream& stream,
                 if (cfg_.spread_gate <= 0.0 ||
                     sp.spread >= cfg_.spread_gate * mean) {
                     ++st.promoted;
-                    ++st.truth_evals;
-                    sink(Point{sp.latency, truth(idx, sp),
-                               static_cast<std::int64_t>(idx)});
+                    actual.insert(Point{sp.latency, truth(idx, sp),
+                                        static_cast<std::int64_t>(idx)});
                 }
             }
             spread_sum += sp.spread;
             ++st.scored;
         }
     }
-    obs::add(obs::Phase::Dse, "streamed", st.streamed);
     obs::add(obs::Phase::Dse, "scored", st.scored);
     obs::add(obs::Phase::Dse, "promoted", st.promoted);
     obs::add(obs::Phase::Dse, "archived", st.archived);
-    obs::add(obs::Phase::Dse, "truth_evals", st.truth_evals);
-    return st;
-}
-
-StreamResult StreamingExplorer::run(CandidateStream& stream,
-                                    const ChunkScorer& score,
-                                    const TruthFn& truth) const {
-    ParetoArchive predicted(cfg_.archive);
-    ParetoArchive actual(cfg_.archive);
-    StreamResult res;
-    res.stats = drive(
-        stream, score, truth,
-        [&](const Point& p) { return predicted.insert(p); },
-        [&](const Point& p) { actual.insert(p); });
-    res.predicted_front = predicted.front();
-    res.true_front = actual.front();
-    return res;
-}
-
-StreamResult StreamingExplorer::run_materialized(CandidateStream& stream,
-                                                 const ChunkScorer& score,
-                                                 const TruthFn& truth) const {
-    // Oracle path: frontier membership by recomputing pareto_front over
-    // everything seen. Matches run() only for exact unbounded archives
-    // (epsilon == 0, max_size == 0), which is all the oracle claims.
-    std::vector<Point> all_predicted;
-    std::vector<Point> promoted;
-    StreamResult res;
-    res.stats = drive(
-        stream, score, truth,
-        [&](const Point& p) {
-            const std::vector<Point> before = pareto_front(all_predicted);
-            all_predicted.push_back(p);
-            return !fronts_equal(before, pareto_front(all_predicted));
-        },
-        [&](const Point& p) { promoted.push_back(p); });
-    res.predicted_front = pareto_front(all_predicted);
-    res.true_front = pareto_front(promoted);
-    return res;
+    return StreamResult{predicted.front(), actual.front(), st};
 }
 
 StreamResult StreamingExplorer::run(const core::SamplePool& pool,
@@ -151,7 +90,7 @@ StreamResult StreamingExplorer::run(const core::SamplePool& pool,
             const core::SamplePool view(
                 core::SamplePool::View(ptrs.data(), ptrs.size()));
             const std::vector<core::Estimate> ests =
-                estimator.estimate_batch(view, cfg_.chunk);
+                estimator.estimate_batch(view);
             std::vector<ScoredPoint> out(idxs.size());
             for (std::size_t i = 0; i < idxs.size(); ++i) {
                 const dataset::Sample& s =
@@ -168,7 +107,7 @@ StreamResult StreamingExplorer::run(const core::SamplePool& pool,
     };
     StreamResult res = run(stream, scorer, truth_label);
     // The pool is fully labelled, so the exact frontier is free — report
-    // frontier quality the way the legacy explorer does (ADRS, Eq. 8).
+    // frontier quality the way the iterative explorer does (ADRS, Eq. 8).
     std::vector<Point> truth_all;
     truth_all.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i)

@@ -19,9 +19,8 @@
 // Determinism: chunk scoring may fan out internally (estimate_batch is
 // bit-identical at any POWERGEAR_JOBS), but archive inserts and promotion
 // decisions happen serially in stream order, so the result is bit-identical
-// at any job count and to the materialized oracle (`run_materialized`,
-// which replays the same decisions against recompute-from-scratch
-// pareto_front calls — the property suite asserts equality).
+// at any job count. tests/test_dse.cpp replays the same decisions against
+// recompute-from-scratch pareto_front calls and asserts equality.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +65,9 @@ using TruthFn =
     std::function<double(std::uint64_t index, const ScoredPoint& scored)>;
 
 struct StreamStats {
-    std::uint64_t streamed = 0;    ///< indices pulled from the stream
-    std::uint64_t scored = 0;      ///< points scored by the model
-    std::uint64_t promoted = 0;    ///< points ground-truth evaluated
-    std::uint64_t archived = 0;    ///< accepted into the predicted frontier
-    std::uint64_t truth_evals = 0; ///< TruthFn calls (== promoted)
+    std::uint64_t scored = 0;   ///< indices pulled from the stream and scored
+    std::uint64_t promoted = 0; ///< points promoted, one TruthFn call each
+    std::uint64_t archived = 0; ///< accepted into the predicted frontier
 };
 
 struct StreamResult {
@@ -91,15 +88,8 @@ public:
     StreamResult run(CandidateStream& stream, const ChunkScorer& score,
                      const TruthFn& truth) const;
 
-    /// Materialized oracle: same decisions, but every frontier membership
-    /// test recomputes pareto_front from scratch over all points seen.
-    /// O(n^2 log n) — test/reference use only.
-    StreamResult run_materialized(CandidateStream& stream,
-                                  const ChunkScorer& score,
-                                  const TruthFn& truth) const;
-
     /// Convenience over an evaluated pool: space index i = pool position i,
-    /// scorer = chunked PowerGear::estimate_batch, truth = the stored board
+    /// scorer = PowerGear::estimate_batch per chunk, truth = the stored board
     /// label. Computes the exact frontier (the pool is fully labelled) and
     /// fills adrs_value.
     StreamResult run(const core::SamplePool& pool,
@@ -109,11 +99,6 @@ public:
     const StreamConfig& config() const { return cfg_; }
 
 private:
-    template <typename AcceptPred, typename TruthSink>
-    StreamStats drive(CandidateStream& stream, const ChunkScorer& score,
-                      const TruthFn& truth, AcceptPred&& accept,
-                      TruthSink&& sink) const;
-
     StreamConfig cfg_;
 };
 

@@ -38,7 +38,8 @@ enum class Phase : int {
     DatasetGen,      ///< dataset::generate_dataset_for — whole-dataset flow
     EnsembleFit,     ///< gnn::Ensemble::fit — (fold x seed) member training
     EstimateBatch,   ///< core::PowerGear::estimate_batch — inference
-    Dse,             ///< dse::Explorer::run — design-space exploration
+    Dse,             ///< design-space exploration: Explorer::run,
+                     ///< StreamingExplorer::run, run_shard, merge_shards
     Cache,           ///< io::Cache — pipeline-cache hits/misses/stores
     Serve,           ///< core::serve — per-request daemon latency + counters
     kCount

@@ -67,12 +67,23 @@ echo "--- streaming mode on an evaluated pool reports ADRS"
 grep -q 'ADRS' stream.txt || { echo "FAIL: no ADRS in stream output"; cat stream.txt; exit 1; }
 grep -q 'frontier' stream.txt || { echo "FAIL: no frontier in stream output"; exit 1; }
 
-echo "--- malformed --shard specs keep the exit-2 usage contract"
+echo "--- malformed --shard specs and --chunk/--limit values keep the exit-2 usage contract"
 for bad in 0/2 3/2 2 a/b 1/2/3; do
     status=0
     "$CLI" dse $space --shard "$bad" --cache-dir cache >/dev/null 2>err.txt ||
         status=$?
     [ "$status" -eq 2 ] || { echo "FAIL: --shard $bad exited $status, want 2"; exit 1; }
+done
+for mode in "--shard 1/1 --cache-dir cache" "--merge 1 --cache-dir cache" \
+            "--stream" ""; do
+    for bad in "--chunk -1" "--chunk 0" "--limit -1"; do
+        status=0
+        # shellcheck disable=SC2086 # word-split the option lists on purpose
+        "$CLI" dse --kernel atax --size 6 $mode $bad >/dev/null 2>err.txt ||
+            status=$?
+        [ "$status" -eq 2 ] ||
+            { echo "FAIL: dse $mode $bad exited $status, want 2"; cat err.txt; exit 1; }
+    done
 done
 
 echo "--- sharding without a cache directory fails with guidance"

@@ -3,8 +3,11 @@
 // frontier" property that underlies Table III.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
 
@@ -15,8 +18,12 @@
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
 #include "dse/pareto/archive.hpp"
+#include "dse/shard.hpp"
 #include "dse/stream.hpp"
 #include "dse/stream_explorer.hpp"
+#include "hls/directives.hpp"
+#include "io/cache.hpp"
+#include "kernels/polybench.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -91,6 +98,57 @@ TruthFn synth_truth() {
     return [](std::uint64_t idx, const ScoredPoint& sp) {
         return sp.power + powergear::util::hash_jitter(0x7B07, idx, 0.02);
     };
+}
+
+bool fronts_equal(const std::vector<Point>& a, const std::vector<Point>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].latency != b[i].latency || a[i].power != b[i].power ||
+            a[i].index != b[i].index)
+            return false;
+    return true;
+}
+
+/// Brute-force reference for StreamingExplorer::run: its own copy of the
+/// stream/score/promote loop, where a point "enters the predicted frontier"
+/// iff pareto_front over every predicted point seen changes. O(n^2 log n).
+/// Drains the stream (no max_points) and matches run() only for exact
+/// unbounded archives (epsilon 0, max_size 0), which is all it claims.
+StreamResult run_materialized(const StreamConfig& cfg, CandidateStream& stream,
+                              const ChunkScorer& score, const TruthFn& truth) {
+    std::vector<Point> all_predicted;
+    std::vector<Point> promoted;
+    StreamResult res;
+    double spread_sum = 0.0;
+    std::vector<std::uint64_t> chunk;
+    while (stream.next_chunk(cfg.chunk, chunk) > 0) {
+        const std::vector<ScoredPoint> scored = score(chunk);
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            const auto idx = static_cast<std::int64_t>(chunk[i]);
+            const ScoredPoint& sp = scored.at(i);
+            const std::vector<Point> before = pareto_front(all_predicted);
+            all_predicted.push_back(Point{sp.latency, sp.power, idx});
+            if (!fronts_equal(before, pareto_front(all_predicted))) {
+                ++res.stats.archived;
+                const double mean =
+                    res.stats.scored > 0
+                        ? spread_sum / static_cast<double>(res.stats.scored)
+                        : 0.0;
+                if (cfg.spread_gate <= 0.0 ||
+                    sp.spread >= cfg.spread_gate * mean) {
+                    ++res.stats.promoted;
+                    promoted.push_back(
+                        Point{sp.latency, truth(chunk[i], sp), idx});
+                }
+            }
+            spread_sum += sp.spread;
+            ++res.stats.scored;
+        }
+        chunk.clear();
+    }
+    res.predicted_front = pareto_front(all_predicted);
+    res.true_front = pareto_front(promoted);
+    return res;
 }
 
 } // namespace
@@ -420,19 +478,6 @@ TEST(ParetoArchive, MaxSizeCapEscalatesEpsilonAndStaysBounded) {
     }
 }
 
-TEST(ParetoArchive, MergeEqualsSingleArchiveInsertion) {
-    const auto pts = lattice_cloud(300, 0x3E63E);
-    ParetoArchive whole, left, right;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        whole.insert(pts[i]);
-        (i % 2 ? left : right).insert(pts[i]);
-    }
-    ParetoArchive merged;
-    merged.merge(left);
-    merged.merge(right);
-    expect_fronts_identical(merged.front(), whole.front());
-}
-
 TEST(ParetoArchive, RejectsBadConfig) {
     ArchiveConfig cfg;
     cfg.epsilon = -0.1;
@@ -455,100 +500,41 @@ TEST(CandidateStream, IsABijectionOverTheSpace) {
     EXPECT_NE(seen, sorted);
 }
 
-TEST(CandidateStream, ShardsPartitionTheSpace) {
-    std::vector<std::uint64_t> unsharded;
-    CandidateStream whole(997); // prime size stresses stride coprimality
-    while (auto idx = whole.next()) unsharded.push_back(*idx);
-
-    std::set<std::uint64_t> combined;
-    std::uint64_t total = 0;
-    for (std::uint64_t s = 0; s < 3; ++s) {
-        CandidateStream shard(997, s, 3);
-        total += shard.total();
-        while (auto idx = shard.next()) {
-            // Disjointness: no index appears in two shards.
-            EXPECT_TRUE(combined.insert(*idx).second) << *idx;
-        }
-    }
-    EXPECT_EQ(total, 997u);
-    EXPECT_EQ(combined.size(), 997u);
-    // Shard s yields exactly the global positions congruent to s mod N, in
-    // order — interleaving the shards reconstructs the unsharded stream.
-    CandidateStream s0(997, 0, 3), s1(997, 1, 3), s2(997, 2, 3);
-    CandidateStream* shards[3] = {&s0, &s1, &s2};
-    for (std::size_t g = 0; g < unsharded.size(); ++g) {
-        const auto idx = shards[g % 3]->next();
-        ASSERT_TRUE(idx.has_value());
-        EXPECT_EQ(*idx, unsharded[g]) << "global position " << g;
-    }
-}
-
-TEST(CandidateStream, LimitTruncatesThePermutedPrefix) {
-    CandidateStream whole(5000);
-    std::vector<std::uint64_t> first;
-    for (int i = 0; i < 128; ++i) first.push_back(*whole.next());
-
-    CandidateStream limited(5000, 0, 1, 128);
-    EXPECT_EQ(limited.total(), 128u);
-    std::vector<std::uint64_t> got;
-    while (auto idx = limited.next()) got.push_back(*idx);
-    EXPECT_EQ(got, first);
-
-    // Sharded limited streams partition the same 128-position prefix.
-    std::set<std::uint64_t> combined;
-    for (std::uint64_t s = 0; s < 4; ++s) {
-        CandidateStream shard(5000, s, 4, 128);
-        while (auto idx = shard.next()) combined.insert(*idx);
-    }
-    EXPECT_EQ(combined, std::set<std::uint64_t>(first.begin(), first.end()));
-}
-
 TEST(CandidateStream, CursorResumeContinuesExactly) {
-    CandidateStream uninterrupted(4096, 1, 2, 2000);
+    CandidateStream uninterrupted(4096);
     std::vector<std::uint64_t> expected;
     while (auto idx = uninterrupted.next()) expected.push_back(*idx);
 
-    // Stop after k points, serialize the cursor, resume in a new stream.
-    CandidateStream first_leg(4096, 1, 2, 2000);
+    // Stop after k points, capture the cursor, resume in a new stream.
+    CandidateStream first_leg(4096);
     std::vector<std::uint64_t> got;
     for (int k = 0; k < 300; ++k) got.push_back(*first_leg.next());
-    const auto bytes = first_leg.cursor().serialize();
+    const CandidateStream::Cursor cursor = first_leg.cursor();
+    EXPECT_EQ(cursor.pos, 300u);
 
-    const auto cursor = CandidateStream::Cursor::deserialize(bytes);
-    ASSERT_TRUE(cursor.has_value());
-    CandidateStream second_leg(4096, 1, 2, 2000);
-    second_leg.seek(*cursor);
-    EXPECT_EQ(second_leg.remaining(), uninterrupted.total() - 300);
+    CandidateStream second_leg(4096);
+    second_leg.seek(cursor);
     while (auto idx = second_leg.next()) got.push_back(*idx);
     EXPECT_EQ(got, expected);
 }
 
 TEST(CandidateStream, CursorRejectsCorruptionAndForeignGeometry) {
-    CandidateStream s(4096, 1, 2, 2000);
+    CandidateStream s(4096);
     for (int k = 0; k < 17; ++k) s.next();
-    const auto bytes = s.cursor().serialize();
 
-    // Every single-byte flip must fail the checksum (or magic) cleanly.
-    Rng rng(0xF1A5);
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-        auto corrupt = bytes;
-        corrupt[pos] ^= static_cast<std::uint8_t>(1 + rng.next_double() * 255.0);
-        EXPECT_FALSE(CandidateStream::Cursor::deserialize(corrupt).has_value())
-            << "flip at byte " << pos << " yielded a valid cursor";
-    }
-    // Truncation.
-    auto short_bytes = bytes;
-    short_bytes.pop_back();
-    EXPECT_FALSE(CandidateStream::Cursor::deserialize(short_bytes).has_value());
-
-    // A structurally valid cursor from a different geometry must be refused
-    // by seek (restart instead of scanning the wrong points).
-    CandidateStream other(4096, 0, 2, 2000);
+    // A cursor from a different geometry must be refused by seek (restart
+    // instead of scanning the wrong points), and so must one past the end.
+    CandidateStream other(4095);
     EXPECT_THROW(other.seek(s.cursor()), std::invalid_argument);
     auto oob = s.cursor();
-    oob.pos = s.total() + 1;
-    CandidateStream fresh(4096, 1, 2, 2000);
+    oob.pos = s.space_size() + 1;
+    CandidateStream fresh(4096);
     EXPECT_THROW(fresh.seek(oob), std::invalid_argument);
+    // The end position itself is valid: a drained stream resumes drained.
+    auto end = s.cursor();
+    end.pos = s.space_size();
+    fresh.seek(end);
+    EXPECT_TRUE(fresh.done());
 }
 
 TEST(CandidateStream, ChunkAddressingIsShardIndependent) {
@@ -558,16 +544,26 @@ TEST(CandidateStream, ChunkAddressingIsShardIndependent) {
     for (std::uint64_t c = 0; c < n; ++c)
         for (std::uint64_t idx : CandidateStream::chunk_indices(1000, c, 64, 300))
             via_chunks.push_back(idx);
-    CandidateStream stream(1000, 0, 1, 300);
+    // The chunks cover the first 300 positions of the stream's order.
+    CandidateStream stream(1000);
     std::vector<std::uint64_t> via_stream;
-    while (auto idx = stream.next()) via_stream.push_back(*idx);
+    stream.next_chunk(300, via_stream);
     EXPECT_EQ(via_chunks, via_stream);
+    EXPECT_TRUE(CandidateStream::chunk_indices(1000, n, 64, 300).empty());
+}
+
+TEST(CandidateStream, NumChunksDoesNotWrapOnHugeChunks) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(CandidateStream::num_chunks(1000, kMax), 1u);
+    EXPECT_EQ(CandidateStream::num_chunks(kMax, kMax), 1u);
+    EXPECT_EQ(CandidateStream::num_chunks(kMax, kMax - 1), 2u);
+    EXPECT_EQ(CandidateStream::chunk_indices(1000, 0, kMax).size(), 1000u);
+    EXPECT_TRUE(CandidateStream::chunk_indices(1000, 1, kMax).empty());
+    EXPECT_EQ(CandidateStream::num_chunks(1000, 0), 0u);
 }
 
 TEST(CandidateStream, RejectsBadGeometry) {
     EXPECT_THROW(CandidateStream(0), std::invalid_argument);
-    EXPECT_THROW(CandidateStream(10, 2, 2), std::invalid_argument);
-    EXPECT_THROW(CandidateStream(10, 0, 0), std::invalid_argument);
 }
 
 // --- StreamingExplorer ------------------------------------------------------
@@ -580,27 +576,34 @@ TEST(StreamingExplorer, MatchesMaterializedOracleBitExactly) {
 
     CandidateStream a(517), b(517);
     const StreamResult fast = ex.run(a, synth_scorer(), synth_truth());
-    const StreamResult slow = ex.run_materialized(b, synth_scorer(), synth_truth());
+    const StreamResult slow =
+        run_materialized(cfg, b, synth_scorer(), synth_truth());
 
     expect_fronts_identical(fast.predicted_front, slow.predicted_front);
     expect_fronts_identical(fast.true_front, slow.true_front);
-    EXPECT_EQ(fast.stats.streamed, slow.stats.streamed);
     EXPECT_EQ(fast.stats.scored, slow.stats.scored);
     EXPECT_EQ(fast.stats.promoted, slow.stats.promoted);
     EXPECT_EQ(fast.stats.archived, slow.stats.archived);
-    EXPECT_EQ(fast.stats.truth_evals, slow.stats.truth_evals);
-    EXPECT_EQ(fast.stats.streamed, 517u);
+    EXPECT_EQ(fast.stats.scored, 517u);
+    EXPECT_GT(fast.stats.promoted, 0u);
+    EXPECT_LT(fast.stats.promoted, fast.stats.archived); // the gate bit
 }
 
 TEST(StreamingExplorer, SpreadGateSpendsTruthBudgetAdaptively) {
     CandidateStream open_stream(800), gated_stream(800);
     StreamConfig open_cfg;
     open_cfg.chunk = 64;
+    std::uint64_t truth_calls = 0;
+    const TruthFn counted = [&](std::uint64_t idx, const ScoredPoint& sp) {
+        ++truth_calls;
+        return synth_truth()(idx, sp);
+    };
     const StreamResult open =
-        StreamingExplorer(open_cfg).run(open_stream, synth_scorer(), synth_truth());
-    // Gate 0: every predicted-frontier entrant is promoted.
+        StreamingExplorer(open_cfg).run(open_stream, synth_scorer(), counted);
+    // Gate 0: every predicted-frontier entrant is promoted, and every
+    // promotion is exactly one ground-truth evaluation.
     EXPECT_EQ(open.stats.promoted, open.stats.archived);
-    EXPECT_EQ(open.stats.promoted, open.stats.truth_evals);
+    EXPECT_EQ(open.stats.promoted, truth_calls);
 
     StreamConfig gated_cfg;
     gated_cfg.chunk = 64;
@@ -619,9 +622,8 @@ TEST(StreamingExplorer, MaxPointsCapsTheSweep) {
     cfg.max_points = 250;
     const StreamResult res =
         StreamingExplorer(cfg).run(stream, synth_scorer(), synth_truth());
-    EXPECT_EQ(res.stats.streamed, 250u);
     EXPECT_EQ(res.stats.scored, 250u);
-    EXPECT_EQ(stream.remaining(), 100000u - 250u);
+    EXPECT_EQ(stream.cursor().pos, 250u); // nothing pulled past the cap
 }
 
 TEST(StreamingExplorer, ResumedRunEqualsUninterrupted) {
@@ -638,7 +640,7 @@ TEST(StreamingExplorer, ResumedRunEqualsUninterrupted) {
     StreamingExplorer(capped).run(leg1, synth_scorer(), synth_truth());
     const auto cursor = leg1.cursor();
 
-    // Second leg resumes from the serialized position. The predicted
+    // Second leg resumes from the captured position. The predicted
     // frontier is rebuilt by re-inserting both legs' fronts (what the shard
     // merge path does) — order invariance makes this equal the one-shot run.
     CandidateStream leg2(700);
@@ -651,25 +653,6 @@ TEST(StreamingExplorer, ResumedRunEqualsUninterrupted) {
     for (const Point& p : part1.predicted_front) stitched.insert(p);
     for (const Point& p : part2.predicted_front) stitched.insert(p);
     expect_fronts_identical(stitched.front(), full.predicted_front);
-}
-
-TEST(StreamingExplorer, ShardedPredictedFrontsMergeToUnsharded) {
-    StreamConfig cfg;
-    cfg.chunk = 32;
-    const StreamingExplorer ex(cfg);
-    CandidateStream whole(911);
-    const StreamResult full = ex.run(whole, synth_scorer(), synth_truth());
-
-    ParetoArchive merged;
-    std::uint64_t streamed = 0;
-    for (std::uint64_t s = 0; s < 2; ++s) {
-        CandidateStream shard(911, s, 2);
-        const StreamResult r = ex.run(shard, synth_scorer(), synth_truth());
-        streamed += r.stats.streamed;
-        for (const Point& p : r.predicted_front) merged.insert(p);
-    }
-    EXPECT_EQ(streamed, 911u);
-    expect_fronts_identical(merged.front(), full.predicted_front);
 }
 
 TEST(StreamingExplorer, BoundedArchiveIsBoundedEndToEnd) {
@@ -740,4 +723,106 @@ TEST(StreamingExplorer, PoolFormIsJobCountInvariant) {
     EXPECT_EQ(serial.stats.promoted, parallel.stats.promoted);
     EXPECT_DOUBLE_EQ(serial.adrs_value, parallel.adrs_value);
     EXPECT_GE(serial.adrs_value, 0.0); // pool form fills ADRS
+}
+
+// --- Sharded sweep (run_shard / merge_shards) --------------------------------
+
+namespace {
+
+/// Fresh per-test cache directory, removed on destruction.
+struct TempCacheDir {
+    explicit TempCacheDir(const std::string& tag)
+        : path((std::filesystem::path(::testing::TempDir()) /
+                ("powergear_dse_" + tag + std::to_string(::getpid())))
+                   .string()) {
+        std::filesystem::remove_all(path);
+    }
+    ~TempCacheDir() { std::filesystem::remove_all(path); }
+    std::string path;
+};
+
+} // namespace
+
+TEST(ShardedSweep, WorkersPartitionChunksAndMergeToUnsharded) {
+    namespace ds = powergear::dataset;
+    const TempCacheDir tmp("shard");
+    const powergear::io::Cache cache(tmp.path);
+    const powergear::ir::Function fn =
+        powergear::kernels::build_polybench("atax", 6);
+    ds::GeneratorOptions gopts;
+    gopts.problem_size = 6;
+    gopts.run_vivado = false;
+    gopts.cache_dir = tmp.path;
+    const ds::PowerKind kind = ds::PowerKind::Dynamic;
+
+    ShardConfig cfg;
+    cfg.chunk = 8;
+    cfg.limit = 48;
+    cfg.num_workers = 2;
+    const std::uint64_t chunks = CandidateStream::num_chunks(
+        powergear::hls::DesignSpace(fn).size(), cfg.chunk, cfg.limit);
+    ASSERT_EQ(chunks, 6u);
+
+    // One after the other: worker 1 takes its own chunks, then steals the
+    // rest, so worker 2 finds everything Done. Together they claim each
+    // chunk exactly once.
+    cfg.worker = 1;
+    const ShardOutcome w1 = run_shard(fn, gopts, kind, cache, cfg);
+    cfg.worker = 2;
+    const ShardOutcome w2 = run_shard(fn, gopts, kind, cache, cfg);
+    EXPECT_EQ(w1.chunks_claimed + w2.chunks_claimed, chunks);
+    EXPECT_EQ(w1.chunks_stolen, chunks / 2);
+    EXPECT_EQ(w1.points + w2.points, cfg.limit);
+
+    const std::vector<Point> merged = merge_shards(
+        cache, shard_space_key(fn, gopts, kind, cfg.chunk, cfg.limit, 2), 2);
+
+    // An unsharded 1/1 sweep of the same space keeps its own manifest and
+    // artifacts (num_workers is part of the key) and reaches the same
+    // frontier bit for bit.
+    ShardConfig whole = cfg;
+    whole.worker = 1;
+    whole.num_workers = 1;
+    const ShardOutcome solo = run_shard(fn, gopts, kind, cache, whole);
+    EXPECT_EQ(solo.chunks_claimed, chunks);
+    ASSERT_FALSE(merged.empty());
+    expect_fronts_identical(merged, solo.front);
+    expect_fronts_identical(
+        merged, merge_shards(cache,
+                             shard_space_key(fn, gopts, kind, cfg.chunk,
+                                             cfg.limit, 1),
+                             1));
+
+    // A re-run finds every chunk Done and keeps its published frontier.
+    cfg.worker = 1;
+    const ShardOutcome again = run_shard(fn, gopts, kind, cache, cfg);
+    EXPECT_EQ(again.chunks_claimed, 0u);
+    expect_fronts_identical(again.front, w1.front);
+}
+
+TEST(ShardedSweep, RejectsBadWorkerChunkAndDisabledCache) {
+    const TempCacheDir tmp("shard_bad");
+    const powergear::io::Cache cache(tmp.path);
+    const powergear::ir::Function fn =
+        powergear::kernels::build_polybench("atax", 6);
+    powergear::dataset::GeneratorOptions gopts;
+    gopts.problem_size = 6;
+    gopts.run_vivado = false;
+    const auto kind = powergear::dataset::PowerKind::Dynamic;
+    const auto rejects = [&](const powergear::io::Cache& c,
+                             std::uint64_t worker, std::uint64_t n,
+                             std::size_t chunk) {
+        ShardConfig cfg;
+        cfg.worker = worker;
+        cfg.num_workers = n;
+        cfg.chunk = chunk;
+        EXPECT_THROW(run_shard(fn, gopts, kind, c, cfg), std::invalid_argument)
+            << "worker " << worker << "/" << n << " chunk " << chunk;
+    };
+    rejects(cache, 0, 2, 8);
+    rejects(cache, 3, 2, 8);
+    rejects(cache, 1, 0, 8);
+    rejects(cache, 1, 2, 0);
+    rejects(powergear::io::Cache(), 1, 2, 8);
+    EXPECT_FALSE(std::filesystem::exists(tmp.path)); // nothing was written
 }

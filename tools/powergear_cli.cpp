@@ -397,6 +397,9 @@ int cmd_dse_merge(const Parsed& a) {
 }
 
 int cmd_dse(const Parsed& a) {
+    // Checked here, before any mode casts them to unsigned sizes.
+    if (a.get_int("chunk", 64) < 1) throw UsageError("--chunk must be >= 1");
+    if (a.get_int("limit", 0) < 0) throw UsageError("--limit must be >= 0");
     if (a.has("shard")) return cmd_dse_shard(a);
     if (a.has("merge")) return cmd_dse_merge(a);
     const std::string target = a.get("kernel", "atax");
@@ -427,7 +430,7 @@ int cmd_dse(const Parsed& a) {
             dataset::pool_of(suite[tgt]), pg, dataset::PowerKind::Dynamic);
         std::printf("streamed %llu candidate(s): %llu archived, %llu "
                     "promoted to ground truth, ADRS %.4f\n",
-                    static_cast<unsigned long long>(res.stats.streamed),
+                    static_cast<unsigned long long>(res.stats.scored),
                     static_cast<unsigned long long>(res.stats.archived),
                     static_cast<unsigned long long>(res.stats.promoted),
                     res.adrs_value);
