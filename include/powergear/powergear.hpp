@@ -38,7 +38,7 @@
 
 /// Major version of the public API re-exported by this header. Compile-time
 /// check: #if POWERGEAR_API_VERSION != <expected> #error ... #endif
-#define POWERGEAR_API_VERSION 1
+#define POWERGEAR_API_VERSION 2
 
 #include "core/powergear.hpp"
 #include "core/sample_pool.hpp"

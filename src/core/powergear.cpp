@@ -1,6 +1,5 @@
 #include "core/powergear.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
@@ -172,23 +171,6 @@ std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples) const
     for (const gnn::Ensemble::Stats& st : stats)
         out.push_back(Estimate{static_cast<double>(st.mean),
                                static_cast<double>(st.spread)});
-    return out;
-}
-
-std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples,
-                                                std::size_t chunk) const {
-    if (chunk == 0)
-        throw std::invalid_argument(
-            "PowerGear::estimate_batch: chunk must be > 0");
-    std::vector<Estimate> out;
-    out.reserve(samples.size());
-    const SamplePool::View view = samples.view();
-    for (std::size_t begin = 0; begin < view.size(); begin += chunk) {
-        const std::size_t n = std::min(chunk, view.size() - begin);
-        const SamplePool slice(view.subspan(begin, n));
-        std::vector<Estimate> part = estimate_batch(slice);
-        out.insert(out.end(), part.begin(), part.end());
-    }
     return out;
 }
 

@@ -84,14 +84,6 @@ public:
     /// out over the parallel runtime (bit-identical at any job count).
     std::vector<Estimate> estimate_batch(const SamplePool& samples) const;
 
-    /// Chunked batch estimation: identical results, but the pool is walked
-    /// in slices of `chunk` samples so peak working-set stays at chunk
-    /// scale — the streaming DSE path sizes this to the serve batcher's
-    /// max_batch. Per-sample results are bit-identical to the one-shot
-    /// call at any chunk size (the batched forward's contract).
-    std::vector<Estimate> estimate_batch(const SamplePool& samples,
-                                         std::size_t chunk) const;
-
     /// MAPE (%) against board measurements on a test pool.
     double evaluate_mape(const SamplePool& test) const;
 

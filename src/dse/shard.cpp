@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "dse/pareto/archive.hpp"
 #include "dse/stream.hpp"
 #include "hls/directives.hpp"
 #include "io/manifest.hpp"
@@ -74,7 +75,7 @@ ShardOutcome run_shard(const ir::Function& fn,
         cache.sidecar_path(io::kStageDse, "manifest-" + hex16(key) + ".mf"),
         cfg.worker);
 
-    ParetoArchive archive(cfg.archive);
+    ParetoArchive archive;
     ShardOutcome out;
 
     // Resume: fold this worker's previously-published frontier back in, so
@@ -129,12 +130,11 @@ ShardOutcome run_shard(const ir::Function& fn,
 
 std::vector<Point> merge_shards(const io::Cache& cache,
                                 std::uint64_t space_key,
-                                std::uint64_t num_workers,
-                                const ArchiveConfig& acfg) {
+                                std::uint64_t num_workers) {
     if (num_workers == 0)
         throw std::invalid_argument("merge_shards: num_workers must be >= 1");
     const obs::Scope obs_scope(obs::Phase::Dse);
-    ParetoArchive archive(acfg);
+    ParetoArchive archive;
     for (std::uint64_t w = 1; w <= num_workers; ++w) {
         const std::uint64_t art_key = shard_artifact_key(space_key, w);
         const std::optional<std::vector<std::uint8_t>> payload =

@@ -16,7 +16,7 @@
 // to recomputation — costs time, never correctness. Each worker archives
 // its points incrementally and publishes its frontier as one "dse" stage
 // artifact; merge_shards folds the N artifacts into the final frontier.
-// Because ParetoArchive is insertion-order invariant and keeps the
+// Because ParetoArchive is exact, insertion-order invariant and keeps the
 // lowest-index representative of equal points, the merged frontier is
 // bit-identical to an unsharded (1-of-1) sweep of the same space.
 #pragma once
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "dataset/generator.hpp"
-#include "dse/pareto/archive.hpp"
+#include "dse/pareto.hpp"
 #include "io/cache.hpp"
 
 namespace powergear::dse {
@@ -36,7 +36,6 @@ struct ShardConfig {
     std::uint64_t num_workers = 1; ///< the N of "i/N"
     std::size_t chunk = 64;        ///< points per work-stealing unit
     std::uint64_t limit = 0;       ///< cap on swept positions (0 = full space)
-    ArchiveConfig archive;         ///< frontier bounds (exact by default)
 };
 
 struct ShardOutcome {
@@ -71,7 +70,6 @@ ShardOutcome run_shard(const ir::Function& fn,
 /// Throws std::runtime_error naming the first missing shard.
 std::vector<Point> merge_shards(const io::Cache& cache,
                                 std::uint64_t space_key,
-                                std::uint64_t num_workers,
-                                const ArchiveConfig& acfg = {});
+                                std::uint64_t num_workers);
 
 } // namespace powergear::dse

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "dse/adrs.hpp"
+#include "dse/pareto/archive.hpp"
 #include "obs/obs.hpp"
 
 namespace powergear::dse {
@@ -22,8 +23,8 @@ StreamResult StreamingExplorer::run(CandidateStream& stream,
     if (!score) throw std::invalid_argument("StreamingExplorer: null scorer");
     if (!truth) throw std::invalid_argument("StreamingExplorer: null truth");
     const obs::Scope obs_scope(obs::Phase::Dse);
-    ParetoArchive predicted(cfg_.archive);
-    ParetoArchive actual(cfg_.archive);
+    ParetoArchive predicted;
+    ParetoArchive actual;
     StreamStats st;
     double spread_sum = 0.0;
     std::vector<std::uint64_t> chunk;

@@ -6,8 +6,9 @@
 // batch scorer (typically the fused estimate_batch/GraphBatch path), and
 // folds the results into two incremental ParetoArchives: one over the
 // model's predicted power (the sampling guide) and one over ground truth.
-// Peak live state is one chunk of scored points plus the two frontiers —
-// O(chunk + |front|) at any stream length.
+// Peak live state is one chunk of scored points plus the two exact
+// frontiers — O(chunk + |front|) at any stream length, where |front| is at
+// most the number of distinct latencies in the space.
 //
 // Ground truth is the expensive resource (a board measurement per point),
 // so it is spent adaptively: a point is *promoted* (truth-evaluated) only
@@ -30,7 +31,7 @@
 
 #include "core/powergear.hpp"
 #include "core/sample_pool.hpp"
-#include "dse/pareto/archive.hpp"
+#include "dse/pareto.hpp"
 #include "dse/stream.hpp"
 
 namespace powergear::dse {
@@ -42,8 +43,6 @@ struct StreamConfig {
     /// member_spread >= g * mean spread of previously scored points.
     /// 0 disables the gate (every frontier entrant is promoted).
     double spread_gate = 0.0;
-    /// Archive bounds (epsilon / max_size), applied to both frontiers.
-    ArchiveConfig archive;
     /// Stop after scoring this many points (0 = drain the stream).
     std::uint64_t max_points = 0;
 };

@@ -38,7 +38,9 @@ constexpr char kStageDse[] = "dse";
 constexpr std::uint32_t kSimPayloadVersion = 1;
 constexpr std::uint32_t kSamplePayloadVersion = 1;
 constexpr std::uint32_t kModelPayloadVersion = 1;
-constexpr std::uint32_t kDsePayloadVersion = 1;
+/// 2: shard frontiers are always exact; a version-1 cache may hold a
+/// grid-pruned frontier, so it must not key or feed a version-2 sweep.
+constexpr std::uint32_t kDsePayloadVersion = 2;
 
 // --- sim stage: value trace --------------------------------------------------
 std::vector<std::uint8_t> encode_trace(const sim::Trace& trace);

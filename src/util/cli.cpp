@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/env.hpp"
@@ -26,9 +27,10 @@ double parse_double(const std::string& name, const std::string& text) {
     char* end = nullptr;
     errno = 0;
     const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE)
-        throw UsageError("option --" + name + " expects a number (got '" +
-                         text + "')");
+    // strtod accepts "nan" and "inf"; no option means anything by them.
+    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+        throw UsageError("option --" + name +
+                         " expects a finite number (got '" + text + "')");
     return v;
 }
 

@@ -34,7 +34,7 @@ struct UsageError : std::runtime_error {
 enum class OptType {
     Flag,   ///< no value; present = "1"
     Int,    ///< strict integer (whole token must parse)
-    Double, ///< strict floating point
+    Double, ///< strict finite floating point (no nan/inf)
     String, ///< free-form
 };
 

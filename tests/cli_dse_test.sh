@@ -67,16 +67,21 @@ echo "--- streaming mode on an evaluated pool reports ADRS"
 grep -q 'ADRS' stream.txt || { echo "FAIL: no ADRS in stream output"; cat stream.txt; exit 1; }
 grep -q 'frontier' stream.txt || { echo "FAIL: no frontier in stream output"; exit 1; }
 
-echo "--- malformed --shard specs and --chunk/--limit values keep the exit-2 usage contract"
+echo "--- malformed --shard specs and dse option values keep the exit-2 usage contract"
 for bad in 0/2 3/2 2 a/b 1/2/3; do
     status=0
     "$CLI" dse $space --shard "$bad" --cache-dir cache >/dev/null 2>err.txt ||
         status=$?
     [ "$status" -eq 2 ] || { echo "FAIL: --shard $bad exited $status, want 2"; exit 1; }
 done
+# The explorer modes point at a fresh cache: rejected values must exit
+# before any dataset generation, which would populate it.
 for mode in "--shard 1/1 --cache-dir cache" "--merge 1 --cache-dir cache" \
-            "--stream" ""; do
-    for bad in "--chunk -1" "--chunk 0" "--limit -1"; do
+            "--stream --cache-dir nogen" "--cache-dir nogen"; do
+    for bad in "--chunk -1" "--chunk 0" "--limit -1" \
+               "--epsilon 0.1" "--max-archive 8" \
+               "--spread-gate -1" "--spread-gate nan" \
+               "--budget 0" "--budget nan"; do
         status=0
         # shellcheck disable=SC2086 # word-split the option lists on purpose
         "$CLI" dse --kernel atax --size 6 $mode $bad >/dev/null 2>err.txt ||
@@ -85,6 +90,8 @@ for mode in "--shard 1/1 --cache-dir cache" "--merge 1 --cache-dir cache" \
             { echo "FAIL: dse $mode $bad exited $status, want 2"; cat err.txt; exit 1; }
     done
 done
+[ ! -e nogen ] ||
+    { echo "FAIL: a rejected dse run generated data before validating"; exit 1; }
 
 echo "--- sharding without a cache directory fails with guidance"
 if "$CLI" dse $space --shard 1/2 2>err.txt; then

@@ -71,6 +71,9 @@ TEST(Cli, TypeValidationAtParseTime) {
     EXPECT_THROW(parse({"gen", "--samples", "many"}), cli::UsageError);
     EXPECT_THROW(parse({"dse", "--budget", "0.4x"}), cli::UsageError);
     EXPECT_NO_THROW(parse({"dse", "--budget", "0.5"}));
+    // strtod parses these, but no option has a meaning for them.
+    EXPECT_THROW(parse({"dse", "--budget", "nan"}), cli::UsageError);
+    EXPECT_THROW(parse({"dse", "--budget", "inf"}), cli::UsageError);
     EXPECT_THROW(parse({"gen", "--samples"}), cli::UsageError); // no value
     // A value that looks like an option is a missing value, not a value.
     EXPECT_THROW(parse({"gen", "--kernel", "--json"}), cli::UsageError);

@@ -8,7 +8,7 @@
 //   powergear dse      --kernel atax --samples 48 --budget 0.4
 //                      [--train bicg,gemm,syrk]
 //   powergear dse      --kernel atax --stream [--chunk 64 --spread-gate G
-//                      --epsilon E --max-archive M --limit P]
+//                      --limit P]
 //   powergear dse      --kernel atax --shard i/N --cache-dir D
 //                      [--chunk 64 --limit P]
 //   powergear dse      --kernel atax --merge N --cache-dir D
@@ -119,10 +119,6 @@ constexpr util::cli::OptionSpec kSpecs[] = {
      "cap swept candidate points (0 = full space)"},
     {"spread-gate", OptType::Double, "0", "", "dse",
      "promote frontier entrants only above this x mean ensemble spread"},
-    {"epsilon", OptType::Double, "0", "", "dse",
-     "epsilon-dominance grid width (0 = exact frontier)"},
-    {"max-archive", OptType::Int, "0", "", "dse",
-     "frontier size cap; escalates epsilon when exceeded (0 = unbounded)"},
     {"points", OptType::Int, "6", "", "lint", "design points per kernel"},
     {"json", OptType::Flag, "", "", "lint", "emit JSON diagnostics"},
     {"all", OptType::Flag, "", "", "lint", "lint every registered kernel"},
@@ -316,15 +312,6 @@ int cmd_estimate(const Parsed& a) {
     return 0;
 }
 
-dse::ArchiveConfig archive_config(const Parsed& a) {
-    dse::ArchiveConfig cfg;
-    cfg.epsilon = a.get_double("epsilon", 0.0);
-    const int cap = a.get_int("max-archive", 0);
-    if (cap < 0) throw UsageError("--max-archive must be >= 0");
-    cfg.max_size = static_cast<std::size_t>(cap);
-    return cfg;
-}
-
 /// Frontier rows printed with %.17g so bit-identical frontiers produce
 /// byte-identical output — the sharded-vs-unsharded CI check compares these
 /// lines with cmp(1).
@@ -354,7 +341,6 @@ int cmd_dse_shard(const Parsed& a) {
     cfg.num_workers = spec.count;
     cfg.chunk = static_cast<std::size_t>(a.get_int("chunk", 64));
     cfg.limit = static_cast<std::uint64_t>(a.get_int("limit", 0));
-    cfg.archive = archive_config(a);
     const dse::ShardOutcome out =
         dse::run_shard(fn, generator_options(a), dataset::PowerKind::Dynamic,
                        cache, cfg);
@@ -388,8 +374,7 @@ int cmd_dse_merge(const Parsed& a) {
         static_cast<std::uint64_t>(a.get_int("limit", 0)),
         static_cast<std::uint64_t>(n));
     const std::vector<dse::Point> front =
-        dse::merge_shards(cache, key, static_cast<std::uint64_t>(n),
-                          archive_config(a));
+        dse::merge_shards(cache, key, static_cast<std::uint64_t>(n));
     std::printf("merged %d shard(s): frontier %zu point(s)\n", n,
                 front.size());
     print_frontier(front);
@@ -397,9 +382,15 @@ int cmd_dse_merge(const Parsed& a) {
 }
 
 int cmd_dse(const Parsed& a) {
-    // Checked here, before any mode casts them to unsigned sizes.
+    // Checked here, before any mode casts them to unsigned sizes or spends
+    // time on datasets and training.
     if (a.get_int("chunk", 64) < 1) throw UsageError("--chunk must be >= 1");
     if (a.get_int("limit", 0) < 0) throw UsageError("--limit must be >= 0");
+    if (a.get_double("spread-gate", 0.0) < 0.0)
+        throw UsageError("--spread-gate must be >= 0");
+    const double budget = a.get_double("budget", 0.4);
+    if (budget <= 0.0 || budget > 1.0)
+        throw UsageError("--budget must be in (0, 1]");
     if (a.has("shard")) return cmd_dse_shard(a);
     if (a.has("merge")) return cmd_dse_merge(a);
     const std::string target = a.get("kernel", "atax");
@@ -421,7 +412,6 @@ int cmd_dse(const Parsed& a) {
         dse::StreamConfig scfg;
         scfg.chunk = static_cast<std::size_t>(a.get_int("chunk", 64));
         scfg.spread_gate = a.get_double("spread-gate", 0.0);
-        scfg.archive = archive_config(a);
         if (a.has("limit"))
             scfg.max_points =
                 static_cast<std::uint64_t>(a.get_int("limit", 0));
@@ -439,7 +429,7 @@ int cmd_dse(const Parsed& a) {
     }
 
     dse::ExplorerConfig cfg;
-    cfg.total_budget = a.get_double("budget", 0.4);
+    cfg.total_budget = budget;
     const dse::Explorer explorer(cfg);
     const dse::DseResult res = explorer.run(
         dataset::pool_of(suite[tgt]), pg, dataset::PowerKind::Dynamic);
@@ -653,7 +643,7 @@ void usage() {
         "            --stream uses the streaming explorer (bounded memory,\n"
         "            incremental Pareto archive, ensemble-spread-guided\n"
         "            ground-truth promotion; tune --chunk/--spread-gate/\n"
-        "            --epsilon/--max-archive/--limit).\n"
+        "            --limit).\n"
         "            --shard i/N runs ground-truth sweep worker i of N into\n"
         "            a shared --cache-dir (work-stealing manifest; run all\n"
         "            N workers concurrently or in any order), then\n"
