@@ -155,33 +155,46 @@ std::vector<Sample> run_point_pipeline(const ir::Function& fn,
     const std::uint64_t sim_key = sim_stage_key(ir_hash, stim);
     std::optional<sim::Trace> trace;
     std::uint64_t trace_hash = 0;
+    const auto simulate_and_store = [&] {
+        trace = sim::simulate(fn, stim);
+        if (cache.enabled())
+            trace_hash = cache.store(io::kStageSim, sim_key,
+                                     io::kSimPayloadVersion,
+                                     io::encode_trace(*trace));
+    };
     if (cache.enabled()) {
         if (const std::optional<std::uint64_t> stored =
                 cache.peek_checksum(io::kStageSim, sim_key,
                                     io::kSimPayloadVersion)) {
             trace_hash = *stored;
         } else {
-            const obs::Scope sim_scope(obs::Phase::SimTrace);
-            trace = sim::simulate(fn, stim);
-            trace_hash = cache.store(io::kStageSim, sim_key,
-                                     io::kSimPayloadVersion,
-                                     io::encode_trace(*trace));
+            simulate_and_store();
         }
     }
     const auto ensure_trace = [&]() -> const sim::Trace& {
         if (!trace) {
-            // Peeked-but-never-loaded, or cache disabled. A vanished or
-            // corrupt cache entry degrades to recomputation.
+            // Peeked-but-never-loaded, or cache disabled. A vanished entry
+            // degrades to recomputation; so does a well-framed one whose
+            // payload does not decode to one stream per instruction, which
+            // counts as corrupt. Either way the fresh trace is stored over
+            // the entry.
             if (cache.enabled()) {
                 if (std::optional<std::vector<std::uint8_t>> payload =
                         cache.load(io::kStageSim, sim_key,
                                    io::kSimPayloadVersion)) {
-                    trace = io::decode_trace(*payload);
-                    return *trace;
+                    try {
+                        sim::Trace loaded = io::decode_trace(*payload);
+                        if (loaded.values.size() == fn.instrs.size()) {
+                            trace = std::move(loaded);
+                            return *trace;
+                        }
+                    } catch (const std::runtime_error&) {
+                        // undecodable: counted and recomputed below
+                    }
+                    obs::add(obs::Phase::Cache, "corrupt");
                 }
             }
-            const obs::Scope sim_scope(obs::Phase::SimTrace);
-            trace = sim::simulate(fn, stim);
+            simulate_and_store();
         }
         return *trace;
     };
@@ -211,7 +224,13 @@ std::vector<Sample> run_point_pipeline(const ir::Function& fn,
     }
 
     if (!misses.empty()) {
+        const std::uint64_t keyed_hash = trace_hash;
         const sim::Trace& the_trace = ensure_trace();
+        // A recomputed sim entry: key the new samples off the stored trace.
+        if (trace_hash != keyed_hash)
+            for (const std::size_t p : misses)
+                keys[p] = sample_stage_key(ir_hash, trace_hash, fn.name, opts,
+                                           jobs[p].dirs, jobs[p].design_index);
         // Unoptimized baseline report for the metadata scaling factors.
         const hls::HlsReport base_report =
             hls::synthesize(fn, hls::Directives{}).report;

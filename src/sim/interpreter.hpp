@@ -26,6 +26,11 @@ struct Trace {
 
 /// Executes one Function. Arrays persist across run() calls so multi-phase
 /// kernels (init loop + compute loops) behave like the C reference.
+///
+/// The constructor lowers the loop-region tree once into a flat op program
+/// (resolved operand slots, result masks, sign-extension shifts, GEP index
+/// tables, LoopBegin/LoopEnd jumps) and sizes every instruction's trace
+/// stream exactly; run() executes that program as one non-recursive loop.
 class Interpreter {
 public:
     explicit Interpreter(const ir::Function& fn);
@@ -42,8 +47,39 @@ public:
     Trace run(bool record = true);
 
 private:
+    enum class Kind : std::uint8_t;
+
+    /// One lowered operation. `a`, `b`, `c` are operand slots, except: a
+    /// Const holds its value in `a`; memory ops hold their array in `c`, and
+    /// a fused GepLoad/GepStore its GEP's slot in `a`; LoopBegin/LoopEnd
+    /// hold the induction variable, trip count and jump target in `a`, `b`,
+    /// `c` and their iteration counter's index in `dst`.
+    struct Op {
+        Kind kind{};
+        std::uint8_t sh0 = 0, sh1 = 0; ///< operand sign-extension shifts
+        std::uint32_t mask = 0;        ///< result mask
+        std::int32_t dst = 0;          ///< result slot = instruction id
+        std::int32_t a = 0, b = 0, c = 0;
+        std::int32_t gep = 0;          ///< first GepIndex of an address
+        std::int32_t rank = 0;         ///< its number of indices
+        std::uint32_t aux = 0;         ///< GEP result mask of a fused pair
+    };
+    struct GepIndex {
+        std::int32_t operand;
+        std::uint32_t dim;
+    };
+
+    void lower(const std::vector<ir::BodyItem>& body, std::int64_t mult,
+               std::vector<bool>& open_loops);
+    bool lower_instr(int id, bool fused);
+
     const ir::Function& fn_;
     std::vector<std::vector<std::uint32_t>> memory_; ///< per array
+    std::vector<Op> program_;
+    std::vector<GepIndex> gep_indices_;
+    std::vector<std::int64_t> stream_sizes_; ///< per instruction id
+    std::int64_t executed_ops_ = 0;
+    std::int32_t num_loop_slots_ = 0;
 };
 
 } // namespace powergear::sim

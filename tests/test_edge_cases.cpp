@@ -3,7 +3,9 @@
 // models, and defensive error paths.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <stdexcept>
 
 #include "gnn/model.hpp"
 #include "graphgen/features.hpp"
@@ -68,6 +70,45 @@ TEST(EdgeCases, TripCountOneLoop) {
     const hls::ElabGraph elab = hls::elaborate(fn, hls::Directives{});
     const hls::Schedule sched = hls::schedule(fn, elab);
     EXPECT_GT(sched.total_latency, 0);
+}
+
+TEST(EdgeCases, InterpreterSignedDivOverflowDoesNotTrap) {
+    // INT32_MIN / -1 overflows int32 (the hardware divide traps); the
+    // interpreter defines the quotient as the wrapped 0x80000000 and the
+    // remainder as 0, like a 32-bit two's-complement datapath.
+    ir::Builder b("divov");
+    const int out = b.array("O", {2});
+    const int imin = b.constant(INT_MIN);
+    const int m1 = b.constant(-1);
+    const int q = b.div(imin, m1);
+    b.store(out, {b.constant(0)}, q);
+    const int r = b.rem(imin, m1);
+    b.store(out, {b.constant(1)}, r);
+    const ir::Function fn = b.build();
+    ASSERT_TRUE(ir::verify(fn).ok) << ir::verify(fn).message;
+    sim::Interpreter interp(fn);
+    const sim::Trace trace = interp.run();
+    EXPECT_EQ(interp.array(out)[0], 0x80000000u);
+    EXPECT_EQ(interp.array(out)[1], 0u);
+    EXPECT_EQ(trace.of(q), (std::vector<std::uint32_t>{0x80000000u}));
+    EXPECT_EQ(trace.of(r), (std::vector<std::uint32_t>{0u}));
+}
+
+TEST(EdgeCases, InterpreterRejectsAccessOutsideItsArray) {
+    // The verifier does not tie a Load/Store's array to its GEP's. A load
+    // from a 2-element array through an 8-element array's GEP would read
+    // past the end; the interpreter refuses the function instead.
+    ir::Builder b("outside");
+    const int big = b.array("A", {8});
+    const int small = b.array("B", {2});
+    b.begin_loop("L", 8);
+    const int ld = b.load(big, {b.indvar()});
+    b.store(big, {b.indvar()}, ld);
+    b.end_loop();
+    ir::Function fn = b.build();
+    fn.instrs[static_cast<std::size_t>(ld)].array = small;
+    ASSERT_TRUE(ir::verify(fn).ok);
+    EXPECT_THROW({ const sim::Interpreter interp(fn); }, std::invalid_argument);
 }
 
 TEST(EdgeCases, DesignSpaceOfKernelWithoutArrays) {

@@ -411,6 +411,81 @@ TEST(PipelineCache, CorruptSampleArtifactFallsBackToRecompute) {
         expect_samples_bitexact(cold.samples[i], warm.samples[i]);
 }
 
+TEST(PipelineCache, CorruptSimArtifactFallsBackToRecompute) {
+    // Well-framed sim entries (the frame checksum matches) whose payload is
+    // bad: too short to decode, or one stream short of the kernel. The
+    // regeneration must count them corrupt, recompute, store over them and
+    // produce the cold run's samples.
+    sim::Trace short_trace;
+    short_trace.values.resize(1);
+    const std::vector<std::vector<std::uint8_t>> bad_payloads = {
+        {1, 2, 3}, io::encode_trace(short_trace)};
+    for (std::size_t b = 0; b < bad_payloads.size(); ++b) {
+        TempDir tmp("simfallback" + std::to_string(b));
+        const dataset::Dataset cold =
+            dataset::generate_dataset("atax", quick_opts(3, tmp.path));
+        int rewritten = 0;
+        for (const auto& entry : fs::directory_iterator(fs::path(tmp.path) / "sim")) {
+            const std::vector<std::uint8_t> file = io::frame(
+                io::kStageSim, io::kSimPayloadVersion, bad_payloads[b]);
+            std::ofstream f(entry.path(), std::ios::binary | std::ios::trunc);
+            f.write(reinterpret_cast<const char*>(file.data()),
+                    static_cast<std::streamsize>(file.size()));
+            ++rewritten;
+        }
+        ASSERT_EQ(rewritten, 1);
+        fs::remove_all(fs::path(tmp.path) / "sample");
+
+        obs::set_enabled(true);
+        obs::reset();
+        dataset::Dataset warm;
+        EXPECT_NO_THROW(warm = dataset::generate_dataset(
+                            "atax", quick_opts(3, tmp.path)));
+        const obs::Report rep = obs::snapshot();
+        ASSERT_EQ(warm.size(), cold.size());
+        for (std::size_t i = 0; i < cold.samples.size(); ++i)
+            expect_samples_bitexact(cold.samples[i], warm.samples[i]);
+        const auto cache_it = rep.phases.find("cache");
+        ASSERT_NE(cache_it, rep.phases.end());
+        ASSERT_TRUE(cache_it->second.counters.count("corrupt"));
+        EXPECT_GE(cache_it->second.counters.at("corrupt"), 1u);
+        ASSERT_TRUE(rep.phases.count("sim_trace"));
+        EXPECT_EQ(rep.phases.at("sim_trace").calls, 1u);
+
+        // The entry was stored over and the samples keyed off it: a third
+        // run simulates nothing and loads every sample.
+        obs::reset();
+        const dataset::Dataset again =
+            dataset::generate_dataset("atax", quick_opts(3, tmp.path));
+        const obs::Report rep2 = obs::snapshot();
+        obs::set_enabled(false);
+        EXPECT_FALSE(rep2.phases.count("sim_trace"));
+        EXPECT_FALSE(rep2.phases.count("graphgen"));
+        ASSERT_EQ(again.size(), cold.size());
+        for (std::size_t i = 0; i < cold.samples.size(); ++i)
+            expect_samples_bitexact(cold.samples[i], again.samples[i]);
+    }
+}
+
+TEST(PipelineCache, ColdGenerationTimesEachSimulationOnce) {
+    // The sim_trace phase is opened by Interpreter::run alone: one cold
+    // kernel is one call and one "traces" count, cached or not.
+    TempDir tmp("simonce");
+    const ir::Function fn = kernels::build_polybench("bicg", 6);
+    for (const std::string& dir : {tmp.path, std::string()}) {
+        obs::set_enabled(true);
+        obs::reset();
+        dataset::generate_dataset_for(fn, quick_opts(3, dir));
+        const obs::Report rep = obs::snapshot();
+        obs::set_enabled(false);
+        const auto it = rep.phases.find("sim_trace");
+        ASSERT_NE(it, rep.phases.end()) << "cache dir '" << dir << "'";
+        EXPECT_EQ(it->second.calls, 1u) << "cache dir '" << dir << "'";
+        ASSERT_TRUE(it->second.counters.count("traces"));
+        EXPECT_EQ(it->second.counters.at("traces"), it->second.calls);
+    }
+}
+
 // --- golden artifacts --------------------------------------------------------
 // Committed files in tests/golden/ pin the powergear-art-v1 on-disk format.
 // If framing or a stage codec drifts, these fail loudly instead of silently
