@@ -1,6 +1,8 @@
 #include "hls/elaborate.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace powergear::hls {
 
@@ -33,6 +35,14 @@ std::vector<int> replica_digits(const std::vector<int>& chain,
     return digits;
 }
 
+/// Name of entry `id` of `v`, or "#id" when out of range.
+template <typename Named>
+std::string name_of(const std::vector<Named>& v, int id) {
+    return id >= 0 && id < static_cast<int>(v.size())
+               ? v[static_cast<std::size_t>(id)].name
+               : "#" + std::to_string(id);
+}
+
 /// Compose per-loop digits back into a replica index.
 int compose_replica(const std::vector<int>& chain, const Directives& d,
                     const std::vector<int>& digits) {
@@ -45,6 +55,20 @@ int compose_replica(const std::vector<int>& chain, const Directives& d,
 } // namespace
 
 ElabGraph elaborate(const ir::Function& fn, const Directives& d) {
+    // A factor below 1 divides by zero downstream (unroll 0 in
+    // replica_digits, banks 0 in the scheduler's port model) or silently
+    // drops a loop's replicas (negative unroll).
+    for (const auto& [l, ld] : d.loops)
+        if (ld.unroll < 1)
+            throw std::invalid_argument("elaborate: loop " + name_of(fn.loops, l) +
+                                        " has unroll " + std::to_string(ld.unroll) +
+                                        "; it must be >= 1");
+    for (const auto& [a, banks] : d.array_partition)
+        if (banks < 1)
+            throw std::invalid_argument("elaborate: array " + name_of(fn.arrays, a) +
+                                        " has " + std::to_string(banks) +
+                                        " partition banks; it must be >= 1");
+
     ElabGraph g;
     g.directives = d;
     const int n = static_cast<int>(fn.instrs.size());

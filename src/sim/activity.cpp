@@ -1,9 +1,10 @@
 #include "sim/activity.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
+
+#include "util/stats.hpp"
 
 namespace powergear::sim {
 
@@ -16,11 +17,12 @@ struct Accumulator {
     int events = 0;
 
     void push(std::uint32_t cur) {
-        const std::uint32_t diff = cur ^ prev;
-        if (events++ > 0 && diff) {
-            hd += std::popcount(diff);
-            ++changes;
-        }
+        // The first value has no predecessor: mask its diff to zero.
+        const std::uint32_t diff =
+            (cur ^ prev) & (0u - static_cast<std::uint32_t>(events > 0));
+        hd += util::popcount32(diff);
+        changes += diff != 0;
+        ++events;
         prev = cur;
     }
     DirStats stats(std::int64_t latency) const {
@@ -29,6 +31,70 @@ struct Accumulator {
                 events};
     }
 };
+
+/// Fold one segment of n values into the replica accumulators: value j
+/// belongs to acc[j % u], so replica d's stream is v[d], v[d+u], ... Each
+/// replica's first value pairs with its carried prev. U > 0 fixes u at
+/// compile time, so the per-lane sums stay in registers.
+template <int U>
+void fold_segment(const std::uint32_t* v, std::int64_t n, int u,
+                  Accumulator* acc) {
+    if constexpr (U > 0) u = U;
+    const int lanes = static_cast<int>(std::min<std::int64_t>(u, n));
+    for (int d = 0; d < lanes; ++d) acc[d].push(v[d]);
+    if constexpr (U > 0) {
+        // Lane sums stay 32-bit within a block of kBlock values
+        // (32 * 2^24 < 2^32) and are flushed to the 64-bit totals per block.
+        constexpr std::int64_t kBlock = std::int64_t{1} << 24;
+        const std::int64_t full = n / U * U;
+        for (std::int64_t lo = U; lo < full; lo += kBlock) {
+            const std::int64_t hi = std::min(full, lo + kBlock);
+            std::uint32_t hd[U] = {}, changes[U] = {};
+            for (std::int64_t i = lo; i < hi; i += U)
+                for (int d = 0; d < U; ++d) {
+                    const std::uint32_t diff = v[i + d] ^ v[i + d - U];
+                    hd[d] += static_cast<std::uint32_t>(util::popcount32(diff));
+                    changes[d] += diff != 0;
+                }
+            for (int d = 0; d < U; ++d) {
+                acc[d].hd += hd[d];
+                acc[d].changes += changes[d];
+            }
+        }
+        for (std::int64_t i = std::max<std::int64_t>(full, U); i < n; ++i) {
+            const std::uint32_t diff = v[i] ^ v[i - U];
+            acc[i - full].hd += util::popcount32(diff);
+            acc[i - full].changes += diff != 0;
+        }
+    } else {
+        for (int d = 0; d < lanes; ++d) {
+            std::int64_t hd = 0, changes = 0;
+            for (std::int64_t i = d + u; i < n; i += u) {
+                const std::uint32_t diff = v[i] ^ v[i - u];
+                hd += util::popcount32(diff);
+                changes += diff != 0;
+            }
+            acc[d].hd += hd;
+            acc[d].changes += changes;
+        }
+    }
+    for (int d = 0; d < lanes; ++d) {
+        const std::int64_t later = (n - 1 - d) / u;  // values after the first
+        acc[d].prev = v[d + later * u];
+        acc[d].events += static_cast<int>(later);
+    }
+}
+
+void fold_segment(const std::uint32_t* v, std::int64_t n, int u,
+                  Accumulator* acc) {
+    switch (u) {
+    case 1: return fold_segment<1>(v, n, u, acc);
+    case 2: return fold_segment<2>(v, n, u, acc);
+    case 4: return fold_segment<4>(v, n, u, acc);
+    case 8: return fold_segment<8>(v, n, u, acc);
+    default: return fold_segment<0>(v, n, u, acc);
+    }
+}
 
 } // namespace
 
@@ -69,33 +135,71 @@ ActivityOracle::ActivityOracle(const ir::Function& fn, const hls::ElabGraph& ela
 }
 
 template <typename Fn>
-void ActivityOracle::walk(int instr, Fn&& visit) const {
-    // Odometer over the loop coordinates, innermost fastest; digits[k] is
-    // coords[k] mod unrolls[k]. Past the last iteration every coordinate
+void ActivityOracle::segments(int instr, bool merge, Fn&& visit) const {
+    // Odometer over the enclosing loops' coordinates, one step per innermost
+    // run; digits[k] is coords[k] mod unrolls[k] and base the replica of
+    // the run's first execution. Past the last iteration every coordinate
     // wraps to 0, as a mixed-radix decomposition of the index would.
     const ChainInfo& ci = chains_[static_cast<std::size_t>(instr)];
-    const int depth = static_cast<int>(ci.loops.size());
     const auto total = static_cast<std::int64_t>(trace_.of(instr).size());
     int coords[kMaxChainDepth] = {};
+    if (ci.loops.empty()) {
+        if (total > 0) visit(std::int64_t{0}, total, 0, coords);
+        return;
+    }
+    const int inner = static_cast<int>(ci.loops.size()) - 1;
+    const int trip = ci.trips.back();
+    const int u = ci.inner_unroll();
     int digits[kMaxChainDepth] = {};
-    int replica = 0;
-    for (std::int64_t s = 0; s < total; ++s) {
-        visit(s, coords, replica);
-        for (int k = depth - 1; k >= 0; --k) {
+    int base = 0;
+    std::int64_t start = 0, len = 0;
+    int seg_base = 0;
+    for (std::int64_t s = 0; s < total; s += trip) {
+        const std::int64_t n = std::min<std::int64_t>(trip, total - s);
+        if (!merge) {
+            visit(s, n, base, coords);
+        } else if (len > 0 && base == seg_base && len % u == 0) {
+            len += n; // the run starts on the replica the segment's next value has
+        } else {
+            if (len > 0) visit(start, len, seg_base, coords);
+            start = s;
+            len = n;
+            seg_base = base;
+        }
+        for (int k = inner - 1; k >= 0; --k) {
             const int stride = ci.span[static_cast<std::size_t>(k) + 1];
             if (++coords[k] < ci.trips[static_cast<std::size_t>(k)]) {
                 if (++digits[k] < ci.unrolls[static_cast<std::size_t>(k)]) {
-                    replica += stride;
+                    base += stride;
                 } else {
-                    replica -= (digits[k] - 1) * stride;
+                    base -= (digits[k] - 1) * stride;
                     digits[k] = 0;
                 }
                 break;
             }
-            replica -= digits[k] * stride;
+            base -= digits[k] * stride;
             coords[k] = digits[k] = 0;
         }
     }
+    if (len > 0) visit(start, len, seg_base, coords);
+}
+
+template <typename Fn>
+void ActivityOracle::walk(int instr, Fn&& visit) const {
+    const ChainInfo& ci = chains_[static_cast<std::size_t>(instr)];
+    const int depth = static_cast<int>(ci.loops.size());
+    const int u = ci.inner_unroll();
+    int coords[kMaxChainDepth] = {};
+    segments(instr, false,
+             [&](std::int64_t start, std::int64_t n, int base, const int* outer) {
+                 std::copy(outer, outer + depth, coords);
+                 int digit = 0;
+                 for (std::int64_t j = 0; j < n; ++j) {
+                     if (depth > 0) coords[depth - 1] = static_cast<int>(j);
+                     visit(start + j, coords, base + digit);
+                     if (++digit == u) digit = 0;
+                 }
+             });
 }
 
 template <typename Fn>
@@ -161,7 +265,7 @@ std::vector<std::uint32_t> ActivityOracle::consumed_sequence(int op_id,
 DirStats ActivityOracle::stats_of(const std::vector<std::uint32_t>& stream,
                                   std::int64_t latency) {
     Accumulator acc;
-    for (std::uint32_t v : stream) acc.push(v);
+    fold_segment<1>(stream.data(), static_cast<std::int64_t>(stream.size()), 1, &acc);
     return acc.stats(latency);
 }
 
@@ -170,11 +274,13 @@ DirStats ActivityOracle::produced(int op_id) const {
     if (!produced_[static_cast<std::size_t>(op_id)]) {
         const auto& vals = trace_.of(op.instr);
         const int first = op_id - op.replica;
+        const int u = chains_[static_cast<std::size_t>(op.instr)].inner_unroll();
         std::vector<Accumulator> acc(static_cast<std::size_t>(
             elab_.replication[static_cast<std::size_t>(op.instr)]));
-        walk(op.instr, [&](std::int64_t s, const int*, int replica) {
-            acc[static_cast<std::size_t>(replica)].push(vals[static_cast<std::size_t>(s)]);
-        });
+        segments(op.instr, true,
+                 [&](std::int64_t start, std::int64_t n, int base, const int*) {
+                     fold_segment(vals.data() + start, n, u, acc.data() + base);
+                 });
         for (std::size_t r = 0; r < acc.size(); ++r)
             produced_[static_cast<std::size_t>(first) + r] = acc[r].stats(latency_);
     }

@@ -11,17 +11,25 @@
 // loop handles iterations congruent to r mod f), so activity features are
 // directive-dependent even though the IR trace is shared.
 //
-// Evaluation is lazy and scans each trace once: the first produced() of an
-// instruction walks its trace in order (an odometer advances the loop
-// coordinates and the replica index) and fills every replica. A pin whose
+// Evaluation is lazy and scans each trace once. The trace of an instruction
+// is read as strided segments: an odometer over the enclosing loops steps
+// once per innermost run, and within a run execution j belongs to replica
+// base + j % u (u the innermost unroll; the innermost stride is 1). Runs
+// merge while the base replica stays the same and u divides the segment so
+// far, which on every design-space point (only innermost loops unroll) makes
+// the whole trace one segment where replica d's stream is vals[d],
+// vals[d+u], .... The first produced() of an instruction folds every segment
+// into all its replicas with branch-free toggle sums (compile-time u for 1,
+// 2, 4, 8) and the inline popcount of util/stats.hpp. A pin whose
 // producer chain equals or prefixes the consumer's reuses the producer
 // replica's stats with no scan: the consumed stream is the produced one with
 // each value held m times (m = 1 on a shared chain; else the consumer
 // replica's iteration count in the deeper loops), so SA/AR are equal and
 // events scale by m. That needs full-length traces (product of the trips),
 // which the interpreter always records; other pins (escaping values) are
-// scanned once per (instr, operand) for all replicas. tests/activity_ref.*
-// keeps the original per-replica algorithm as the parity oracle.
+// scanned value by value once per (instr, operand) for all replicas.
+// tests/activity_ref.* keeps the original per-replica algorithm as the
+// parity oracle.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +80,18 @@ private:
         std::vector<int> unrolls;
         std::vector<int> span;    ///< span[k] = product of unrolls[k..]; span[depth] = 1
         bool full = false;        ///< trace length == product of trips
+
+        /// Unroll of the innermost loop (1 outside any loop).
+        int inner_unroll() const { return unrolls.empty() ? 1 : unrolls.back(); }
     };
+
+    /// Visit the trace of `instr` in order as segments (start, length,
+    /// base replica, outer loop coordinates): execution start + j belongs
+    /// to replica base + j % u. Unmerged, each segment is one innermost run
+    /// and the coordinates are its enclosing loops'; merged, runs that
+    /// continue the replica cycle join and the coordinates are not meaningful.
+    template <typename Fn>
+    void segments(int instr, bool merge, Fn&& visit) const;
 
     /// Visit the executions of `instr` in trace order as
     /// (execution index, loop coordinates, replica).

@@ -1,6 +1,5 @@
 #include "util/stats.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -61,7 +60,5 @@ double pearson(const std::vector<double>& a, const std::vector<double>& b) {
     if (da <= 0.0 || db <= 0.0) return 0.0;
     return num / std::sqrt(da * db);
 }
-
-int popcount32(unsigned int v) { return std::popcount(v); }
 
 } // namespace powergear::util

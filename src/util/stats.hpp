@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace powergear::util {
@@ -23,7 +24,14 @@ double rmse(const std::vector<double>& pred, const std::vector<double>& truth);
 /// Pearson correlation coefficient; 0 when either side is constant.
 double pearson(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Population Hamming weight of a 32-bit value.
-int popcount32(unsigned int v);
+/// Population Hamming weight of a 32-bit value, in SWAR arithmetic.
+/// std::popcount compiles to a libgcc call (__popcountdi2) on the baseline
+/// x86-64 target, which has no POPCNT; this form inlines and vectorises.
+constexpr int popcount32(std::uint32_t v) {
+    v -= (v >> 1) & 0x55555555u;
+    v = (v & 0x33333333u) + ((v >> 2) & 0x33333333u);
+    v = (v + (v >> 4)) & 0x0f0f0f0fu;
+    return static_cast<int>((v * 0x01010101u) >> 24);
+}
 
 } // namespace powergear::util

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "activity_ref.hpp"
 #include "dse/stream.hpp"
@@ -79,6 +81,51 @@ sim::Trace stimulated_trace(const ir::Function& fn, std::uint64_t seed) {
     return sim::simulate(fn, stim);
 }
 
+/// Values escaping their loop: `v` from L1 (trip 8) feeds its sibling L2
+/// (trip 6; shared L0, L1 resolved to its final iteration) and the code
+/// after L0 (trip 4).
+ir::Function escape_nest() {
+    ir::Builder b("escape");
+    const int a = b.array("A", {16}, /*external=*/true);
+    const int out = b.array("O", {16}, /*external=*/true);
+    b.begin_loop("L0", 4);
+    const int i0 = b.indvar();
+    b.begin_loop("L1", 8);
+    const int v = b.add(b.load(a, {b.indvar()}), i0);
+    b.end_loop();
+    b.begin_loop("L2", 6);
+    b.store(out, {b.indvar()}, b.mul(v, b.indvar()));
+    b.end_loop();
+    b.end_loop();
+    b.store(out, {b.constant(0)}, b.xor_(v, b.constant(3)));
+    return b.build();
+}
+
+/// Directive sets DesignSpace never produces: innermost factors outside
+/// {1, 2, 4, 8} (the oracle's runtime-u path), full unroll, factors that do
+/// not divide or exceed the trip, and unrolled outer loops, alone and with
+/// an unrolled inner loop (the base replica then changes between runs).
+std::vector<hls::Directives> off_space_points(const ir::Function& fn) {
+    const std::vector<int> inner = fn.innermost_loops();
+    const auto each_inner = [&](auto factor_of_trip) {
+        hls::Directives d;
+        for (int l : inner) d.loops[l] = {factor_of_trip(fn.loop(l).trip_count), false};
+        return d;
+    };
+    std::vector<hls::Directives> out;
+    for (int u : {3, 5, 6, 7})
+        out.push_back(each_inner([u](int) { return u; }));
+    out.push_back(each_inner([](int trip) { return trip; }));
+    out.push_back(each_inner([](int trip) { return trip + 3; }));
+    for (const auto& [outer_u, inner_u] : {std::pair{2, 1}, {2, 4}, {3, 5}, {2, 8}}) {
+        hls::Directives d = each_inner([inner_u](int) { return inner_u; });
+        for (int l : inner)
+            if (fn.loop(l).parent >= 0) d.loops[fn.loop(l).parent] = {outer_u, false};
+        out.push_back(d);
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(ActivityOracleParity, PolybenchPointsBitExact) {
@@ -113,22 +160,7 @@ TEST(ActivityOracleParity, SyntheticAndEscapingNestsCoverEveryPinKind) {
         check_space(fn, stimulated_trace(fn, static_cast<std::uint64_t>(tag + 1)), 8);
     }
 
-    // Values escaping their loop: `v` from L1 feeds its sibling L2 (shared
-    // L0, L1 resolved to its final iteration) and the code after L0.
-    ir::Builder b("escape");
-    const int a = b.array("A", {16}, /*external=*/true);
-    const int out = b.array("O", {16}, /*external=*/true);
-    b.begin_loop("L0", 4);
-    const int i0 = b.indvar();
-    b.begin_loop("L1", 8);
-    const int v = b.add(b.load(a, {b.indvar()}), i0);
-    b.end_loop();
-    b.begin_loop("L2", 6);
-    b.store(out, {b.indvar()}, b.mul(v, b.indvar()));
-    b.end_loop();
-    b.end_loop();
-    b.store(out, {b.constant(0)}, b.xor_(v, b.constant(3)));
-    const ir::Function esc = b.build();
+    const ir::Function esc = escape_nest();
     sim::Trace trace = stimulated_trace(esc, 7);
     check_space(esc, trace, 64);
 
@@ -141,6 +173,36 @@ TEST(ActivityOracleParity, SyntheticAndEscapingNestsCoverEveryPinKind) {
         else vals.insert(vals.end(), vals.begin(), vals.begin() + (vals.size() + 1) / 2);
     }
     check_space(esc, trace, 16);
+
+    EXPECT_GT(kinds.same_chain, 0);
+    EXPECT_GT(kinds.enclosing, 0);
+    EXPECT_GT(kinds.general, 0);
+}
+
+TEST(ActivityOracleParity, UnrollsOutsideTheDesignSpace) {
+    PinKinds kinds;
+    const auto check_points = [&](const ir::Function& fn, const sim::Trace& trace) {
+        for (const hls::Directives& dirs : off_space_points(fn))
+            check_design(fn, trace, dirs, fn.name, kinds);
+    };
+    for (const std::string& name : kernels::polybench_names()) {
+        const ir::Function fn = kernels::build_polybench(name, 12);
+        check_points(fn, stimulated_trace(fn, 12));
+    }
+    util::Rng rng(2026);
+    for (int tag = 0; tag < 6; ++tag) {
+        const ir::Function fn = kernels::build_synthetic({}, rng, tag);
+        check_points(fn, stimulated_trace(fn, static_cast<std::uint64_t>(tag + 1)));
+    }
+    const ir::Function esc = escape_nest();
+    sim::Trace trace = stimulated_trace(esc, 7);
+    check_points(esc, trace);
+
+    // Streams of at most 2 values: shorter than one unroll group for every
+    // factor above 2.
+    for (auto& vals : trace.values)
+        if (vals.size() > 2) vals.resize(2);
+    check_points(esc, trace);
 
     EXPECT_GT(kinds.same_chain, 0);
     EXPECT_GT(kinds.enclosing, 0);

@@ -10,6 +10,7 @@
 #include "gnn/model.hpp"
 #include "graphgen/features.hpp"
 #include "hls/binding.hpp"
+#include "hls/flow.hpp"
 #include "hls/report.hpp"
 #include "hls/scheduler.hpp"
 #include "ir/builder.hpp"
@@ -262,6 +263,62 @@ TEST(EdgeCases, HugeUnrollEqualsTripCount) {
         EXPECT_GE(ls.total_latency, ls.iteration_latency);
     }
     EXPECT_GT(elab.num_ops(), 0);
+}
+
+namespace {
+
+/// Loop or array id of `fn` by name; -1 when absent.
+template <typename Named>
+int id_named(const std::vector<Named>& v, const std::string& name) {
+    for (std::size_t i = 0; i < v.size(); ++i)
+        if (v[i].name == name) return static_cast<int>(i);
+    return -1;
+}
+
+/// synthesize(fn, dirs) must throw std::invalid_argument naming `what`.
+void expect_rejected(const ir::Function& fn, const hls::Directives& dirs,
+                     const std::string& what) {
+    try {
+        (void)hls::synthesize(fn, dirs);
+        FAIL() << dirs.to_string() << " accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+}
+
+} // namespace
+
+TEST(EdgeCases, ElaborateRejectsNonPositiveUnroll) {
+    // Unroll 0 used to die with SIGFPE; unroll -2 elaborated the loop's
+    // replicas away (fewer ops than unroll 1) and still reported a latency.
+    const ir::Function fn = kernels::build_polybench("atax", 12);
+    const int dot = id_named(fn.loops, "dot");
+    ASSERT_GE(dot, 0);
+    for (int unroll : {0, -2, INT_MIN}) {
+        hls::Directives dirs;
+        dirs.loops[dot] = {unroll, false};
+        expect_rejected(fn, dirs, "loop dot has unroll " + std::to_string(unroll));
+        EXPECT_THROW(hls::elaborate(fn, dirs), std::invalid_argument);
+    }
+    hls::Directives one;
+    one.loops[dot] = {1, false};
+    EXPECT_EQ(hls::synthesize(fn, one).elab.num_ops(),
+              hls::elaborate(fn, hls::Directives{}).num_ops());
+}
+
+TEST(EdgeCases, ElaborateRejectsNonPositiveBanks) {
+    // Banks 0 used to die with SIGFPE in the scheduler; banks -1 passed.
+    const ir::Function fn = kernels::build_polybench("atax", 12);
+    const int a = id_named(fn.arrays, "A");
+    ASSERT_GE(a, 0);
+    for (int banks : {0, -1}) {
+        hls::Directives dirs;
+        dirs.array_partition[a] = banks;
+        expect_rejected(fn, dirs, "array A has " + std::to_string(banks));
+    }
+    hls::Directives unknown;
+    unknown.array_partition[99] = 0;
+    expect_rejected(fn, unknown, "array #99");
 }
 
 TEST(EdgeCases, MetadataRatiosHandleZeroBaseline) {

@@ -1,7 +1,9 @@
 // Utility-layer tests: RNG determinism, table/CSV rendering, statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 
@@ -137,9 +139,24 @@ TEST(Stats, MeanStdRmse) {
 }
 
 TEST(Stats, Popcount) {
+    // The SWAR helper must agree with std::popcount on every word tried.
+    static_assert(popcount32(0b1011u) == 3);
     EXPECT_EQ(popcount32(0u), 0);
     EXPECT_EQ(popcount32(0xffffffffu), 32);
-    EXPECT_EQ(popcount32(0b1011u), 3);
+    for (int b = 0; b < 32; ++b) {
+        const std::uint32_t bit = 1u << b;
+        EXPECT_EQ(popcount32(bit), 1) << b;
+        EXPECT_EQ(popcount32(~bit), 31) << b;
+    }
+    Rng rng(20220314);
+    int mismatches = 0;
+    for (int i = 0; i < (1 << 20); ++i) {
+        const std::uint32_t w = rng.next_u32();
+        if (popcount32(w) != std::popcount(w) && ++mismatches <= 5)
+            ADD_FAILURE() << "popcount32(" << w << ") = " << popcount32(w)
+                          << ", std::popcount = " << std::popcount(w);
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Env, ParsesAndFallsBack) {
