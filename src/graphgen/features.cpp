@@ -1,19 +1,15 @@
 #include "graphgen/features.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
-#include "graphgen/buffer_insertion.hpp"
-#include "graphgen/datapath_merge.hpp"
-#include "graphgen/trim.hpp"
 #include "obs/obs.hpp"
 
 namespace powergear::graphgen {
 
 namespace {
 
-NodeClass class_of(const WorkNode& n) {
+NodeClass class_of(const FlowGraph::Node& n) {
     if (n.is_buffer) return NodeClass::Buffer;
     if (ir::is_arithmetic(n.op)) return NodeClass::Arithmetic;
     if (ir::is_memory(n.op)) return NodeClass::Memory;
@@ -26,16 +22,11 @@ NodeClass class_of(const WorkNode& n) {
 // exploit exactly that linearity, so the features must preserve it.
 float squash(double v) { return static_cast<float>(std::max(0.0, v) / 8.0); }
 
-} // namespace
-
-Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle) {
-    const hls::ElabGraph& elab = *g.elab;
-
-    // Producer lookup: (consumer op, operand index) -> producer op.
-    std::map<std::pair<int, int>, int> producer_of_pin;
-    for (const hls::ElabEdge& e : elab.edges)
-        producer_of_pin[{e.dst, e.operand_index}] = e.src;
-
+/// Feature annotation of the flow's nodes and edges. Sums run over each
+/// provenance list in order, so the floats depend on that order.
+Graph annotate_features(const FlowGraph& g, const ir::Function& fn,
+                        const hls::ElabGraph& elab,
+                        const sim::ActivityOracle& oracle) {
     Graph out;
     const int opcode_slots = ir::opcode_count() + 1; // +1: buffer pseudo-opcode
     out.node_dim = node_feature_dim(opcode_slots);
@@ -49,28 +40,31 @@ Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle) {
     std::vector<double> node_sa_out(g.nodes.size(), 0.0);
     std::vector<double> node_ar(g.nodes.size(), 0.0);
 
-    for (const WorkEdge& we : g.edges) {
-        if (we.removed) continue;
+    std::vector<int> producers;
+    for (const FlowGraph::Edge& we : g.edges) {
         double sa_src = 0.0, ar_src = 0.0, sa_snk = 0.0, ar_snk = 0.0;
-        if (!we.mem_ops.empty()) {
-            // Buffer edge: the memory operators' streams describe both what
+        if (we.mem_op >= 0) {
+            // Buffer edge: the memory operator's stream describes both what
             // is injected into and what leaves the edge.
-            for (int mo : we.mem_ops) {
-                const sim::DirStats st = oracle.produced(mo);
-                sa_src += st.sa;
-                ar_src += st.ar;
-            }
+            const sim::DirStats st = oracle.produced(we.mem_op);
+            sa_src += st.sa;
+            ar_src += st.ar;
             sa_snk = sa_src;
             ar_snk = ar_src;
         } else {
-            std::set<int> producers;
-            for (const auto& [consumer, opidx] : we.consumer_pins) {
-                const sim::DirStats snk = oracle.consumed(consumer, opidx);
+            // Pins are elab edges: consumer, operand index and producer.
+            producers.clear();
+            for (int t = we.pins_begin; t < we.pins_end; ++t) {
+                const hls::ElabEdge& pin = elab.edges[static_cast<std::size_t>(
+                    g.pins[static_cast<std::size_t>(t)])];
+                const sim::DirStats snk = oracle.consumed(pin.dst, pin.operand_index);
                 sa_snk += snk.sa;
                 ar_snk += snk.ar;
-                auto it = producer_of_pin.find({consumer, opidx});
-                if (it != producer_of_pin.end()) producers.insert(it->second);
+                producers.push_back(pin.src);
             }
+            std::sort(producers.begin(), producers.end());
+            producers.erase(std::unique(producers.begin(), producers.end()),
+                            producers.end());
             for (int p : producers) {
                 const sim::DirStats src = oracle.produced(p);
                 sa_src += src.sa;
@@ -96,7 +90,7 @@ Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle) {
 
     // --- nodes --------------------------------------------------------------
     for (int v = 0; v < out.num_nodes; ++v) {
-        const WorkNode& n = g.nodes[static_cast<std::size_t>(v)];
+        const FlowGraph::Node& n = g.nodes[static_cast<std::size_t>(v)];
         const NodeClass cls = class_of(n);
         float* row = &out.x[static_cast<std::size_t>(v) *
                             static_cast<std::size_t>(out.node_dim)];
@@ -108,13 +102,14 @@ Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle) {
         // Operation nodes query the oracle directly; buffer nodes fall back
         // to the activity accumulated on their incident edges.
         double ar = 0.0, sa_in = 0.0, sa_out = 0.0;
-        if (!n.elab_ops.empty()) {
-            for (int o : n.elab_ops) {
+        if (n.ops_end > n.ops_begin) {
+            for (int t = n.ops_begin; t < n.ops_end; ++t) {
+                const int o = g.ops[static_cast<std::size_t>(t)];
                 const sim::DirStats prod = oracle.produced(o);
                 ar += prod.ar;
                 sa_out += prod.sa;
                 const hls::ElabOp& op = elab.ops[static_cast<std::size_t>(o)];
-                const ir::Instr& in_instr = g.fn->instr(op.instr);
+                const ir::Instr& in_instr = fn.instr(op.instr);
                 for (int k = 0; k < static_cast<int>(in_instr.operands.size()); ++k)
                     sa_in += oracle.consumed(o, k).sa;
             }
@@ -132,29 +127,28 @@ Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle) {
 
     // Debug labels.
     out.labels.reserve(g.nodes.size());
-    for (const WorkNode& n : g.nodes) {
+    for (const FlowGraph::Node& n : g.nodes) {
         if (n.is_buffer) {
             out.labels.push_back(
-                "buffer:" + g.fn->arrays[static_cast<std::size_t>(n.array)].name +
+                "buffer:" + fn.arrays[static_cast<std::size_t>(n.array)].name +
                 "[" + std::to_string(n.bank) + "]");
         } else {
             out.labels.push_back(std::string(ir::opcode_name(n.op)) + "x" +
-                                 std::to_string(n.elab_ops.size()));
+                                 std::to_string(n.ops_end - n.ops_begin));
         }
     }
     return out;
 }
+
+} // namespace
 
 Graph construct_graph(const ir::Function& fn, const hls::ElabGraph& elab,
                       const hls::Binding& binding,
                       const sim::ActivityOracle& oracle,
                       const GraphFlowOptions& opts) {
     const obs::Scope obs_scope(obs::Phase::GraphGen);
-    WorkGraph g = build_dfg(fn, elab);
-    if (opts.buffer_insertion) insert_buffers(g);
-    if (opts.datapath_merging) merge_datapaths(g, binding);
-    if (opts.trimming) trim_graph(g);
-    Graph out = annotate_features(g, oracle);
+    Graph out = annotate_features(partition_graph(fn, elab, binding, opts), fn,
+                                  elab, oracle);
     obs::add(obs::Phase::GraphGen, "graphs");
     obs::add(obs::Phase::GraphGen, "nodes",
              static_cast<std::uint64_t>(out.num_nodes));

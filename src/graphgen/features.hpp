@@ -5,30 +5,18 @@
 // built from Eq. (2)/(3) over the value streams produced by the edge's
 // source operators and utilized by its sink pins. Node features combine the
 // operation-class and opcode one-hots with activation rate and input /
-// output / overall switching activities. All numeric activity features are
-// log1p-compressed so one fixed model scale works across kernels.
+// output / overall switching activities. Numeric activity features are
+// scaled linearly (see squash in features.cpp).
 #pragma once
 
-#include "graphgen/dfg.hpp"
 #include "graphgen/graph.hpp"
-#include "hls/binding.hpp"
+#include "graphgen/partition.hpp"
 #include "sim/activity.hpp"
 
 namespace powergear::graphgen {
 
-/// Which construction passes to run (all on by default; exposed for tests
-/// and construction-flow ablations).
-struct GraphFlowOptions {
-    bool buffer_insertion = true;
-    bool datapath_merging = true;
-    bool trimming = true;
-};
-
-/// Annotate a fully-transformed WorkGraph into the final sample.
-Graph annotate_features(const WorkGraph& g, const sim::ActivityOracle& oracle);
-
-/// Full flow: primitive DFG -> buffer insertion -> datapath merging ->
-/// trimming -> feature annotation.
+/// Full flow: partition_graph (buffer insertion -> datapath merging ->
+/// trimming) -> feature annotation.
 Graph construct_graph(const ir::Function& fn, const hls::ElabGraph& elab,
                       const hls::Binding& binding,
                       const sim::ActivityOracle& oracle,

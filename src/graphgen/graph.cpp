@@ -26,20 +26,6 @@ bool Graph::valid(std::string* why) const {
     return true;
 }
 
-int Graph::in_degree(int node) const {
-    int d = 0;
-    for (const Edge& e : edges)
-        if (e.dst == node) ++d;
-    return d;
-}
-
-int Graph::out_degree(int node) const {
-    int d = 0;
-    for (const Edge& e : edges)
-        if (e.src == node) ++d;
-    return d;
-}
-
 int node_feature_dim(int opcode_slots) {
     return kNumNodeClasses + opcode_slots + 4;
 }

@@ -57,10 +57,6 @@ struct Graph {
     /// Structural sanity: endpoints in range, finite features.
     bool valid(std::string* why = nullptr) const;
 
-    /// In/out degree of a node.
-    int in_degree(int node) const;
-    int out_degree(int node) const;
-
     /// Bit-exact structural equality (artifact round-trip tests).
     friend bool operator==(const Graph&, const Graph&) = default;
 };

@@ -175,7 +175,10 @@ Schedule schedule(const ir::Function& fn, const ElabGraph& elab) {
                 child_total +=
                     s.loops[static_cast<std::size_t>(item.index)].total_latency;
 
-        const int iters = loop.trip_count / elab.directives.unroll_of(l);
+        // An unroll that does not divide the trip (or exceeds it) still runs
+        // the remaining iterations in one more, partly filled, group.
+        const int unroll = elab.directives.unroll_of(l);
+        const int iters = loop.trip_count / unroll + (loop.trip_count % unroll != 0);
         if (pipelined) {
             ls.total_latency = rs.depth + static_cast<std::int64_t>(rs.ii) *
                                               std::max(0, iters - 1) + 2;

@@ -321,6 +321,26 @@ TEST(EdgeCases, ElaborateRejectsNonPositiveBanks) {
     expect_rejected(fn, unknown, "array #99");
 }
 
+TEST(EdgeCases, SchedulerCountsThePartialUnrollGroup) {
+    // An unroll that does not divide the trip (12), or exceeds it, still
+    // schedules every iteration: ceil(trip / unroll) groups, as elaborate and
+    // the activity oracle count them. Flooring gave unroll 5 the latency of
+    // unroll 6, and unroll 13 or 24 a loop latency of 1.
+    const ir::Function fn = kernels::build_polybench("atax", 12);
+    const int dot = id_named(fn.loops, "dot");
+    ASSERT_GE(dot, 0);
+    const auto loop_latency = [&](int unroll) {
+        hls::Directives dirs;
+        dirs.loops[dot] = {unroll, false};
+        return hls::synthesize(fn, dirs).sched.loops[static_cast<std::size_t>(dot)].total_latency;
+    };
+    for (const auto& [unroll, divisor] : {std::pair{5, 4}, {13, 12}, {24, 12}}) {
+        EXPECT_GE(loop_latency(unroll), loop_latency(divisor)) << "unroll " << unroll;
+        EXPECT_GT(loop_latency(unroll), 1) << "unroll " << unroll;
+    }
+    EXPECT_GT(loop_latency(5), loop_latency(6));
+}
+
 TEST(EdgeCases, MetadataRatiosHandleZeroBaseline) {
     hls::HlsReport cur;
     cur.lut = 100;

@@ -1,11 +1,14 @@
 // Graph construction flow tests: buffer insertion, datapath merging, graph
-// trimming and feature annotation, plus the flow-ablation options.
+// trimming and feature annotation, plus the flow-ablation options. The
+// library builds no intermediate graphs, so each step's properties are
+// checked on the reference passes (graphflow_ref.hpp) after that step, and
+// again on construct_graph run with the steps up to it switched on.
 #include <gtest/gtest.h>
 
-#include "graphgen/buffer_insertion.hpp"
-#include "graphgen/datapath_merge.hpp"
+#include <string>
+
+#include "graphflow_ref.hpp"
 #include "graphgen/features.hpp"
-#include "graphgen/trim.hpp"
 #include "hls/binding.hpp"
 #include "hls/scheduler.hpp"
 #include "ir/builder.hpp"
@@ -15,7 +18,8 @@
 
 using namespace powergear;
 using graphgen::Graph;
-using graphgen::WorkGraph;
+using graphgen::GraphFlowOptions;
+using graphgen::ref::WorkGraph;
 
 namespace {
 
@@ -48,6 +52,31 @@ int count_buffers(const WorkGraph& g) {
     return n;
 }
 
+/// Library flow on `ctx` with the given steps.
+Graph flow(const Ctx& ctx, bool buffers, bool merging, bool trimming) {
+    const auto oracle = ctx.oracle();
+    return graphgen::construct_graph(ctx.fn, ctx.elab, ctx.binding, oracle,
+                                     GraphFlowOptions{buffers, merging, trimming});
+}
+
+/// Nodes whose debug label starts with `prefix`.
+int count_labeled(const Graph& g, const std::string& prefix) {
+    int n = 0;
+    for (const auto& label : g.labels)
+        if (label.rfind(prefix, 0) == 0) ++n;
+    return n;
+}
+
+/// Label prefix of operation nodes with opcode `op`.
+std::string op_label(ir::Opcode op) { return std::string(ir::opcode_name(op)) + "x"; }
+
+int in_degree(const Graph& g, int node) {
+    int d = 0;
+    for (const Graph::Edge& e : g.edges)
+        if (e.dst == node) ++d;
+    return d;
+}
+
 } // namespace
 
 TEST(BufferInsertion, OneBufferPerArrayBank) {
@@ -57,8 +86,8 @@ TEST(BufferInsertion, OneBufferPerArrayBank) {
     dirs.array_partition[0] = 4; // A into 4 banks
     Ctx ctx(fn, dirs);
 
-    WorkGraph g = graphgen::build_dfg(ctx.fn, ctx.elab);
-    graphgen::insert_buffers(g);
+    WorkGraph g = graphgen::ref::build_dfg(ctx.fn, ctx.elab);
+    graphgen::ref::insert_buffers(g);
     // A has 4 banks; B, C one each; the scalar register one.
     EXPECT_EQ(count_buffers(g), 4 + 1 + 1 + 1);
     // Allocas were removed.
@@ -66,6 +95,10 @@ TEST(BufferInsertion, OneBufferPerArrayBank) {
         if (!node.removed && !node.is_buffer) {
             EXPECT_NE(node.op, ir::Opcode::Alloca);
         }
+
+    const Graph lib = flow(ctx, true, false, false);
+    EXPECT_EQ(count_labeled(lib, "buffer:"), 4 + 1 + 1 + 1);
+    EXPECT_EQ(count_labeled(lib, op_label(ir::Opcode::Alloca)), 0);
 }
 
 TEST(BufferInsertion, StoreAndLoadEdgesPointThroughBuffer) {
@@ -80,8 +113,8 @@ TEST(BufferInsertion, StoreAndLoadEdgesPointThroughBuffer) {
     b.end_loop();
     Ctx ctx(b.build());
 
-    WorkGraph g = graphgen::build_dfg(ctx.fn, ctx.elab);
-    graphgen::insert_buffers(g);
+    WorkGraph g = graphgen::ref::build_dfg(ctx.fn, ctx.elab);
+    graphgen::ref::insert_buffers(g);
     // Find the internal buffer node and check both directions exist.
     int buf_node = -1;
     for (int v = 0; v < static_cast<int>(g.nodes.size()); ++v)
@@ -97,6 +130,19 @@ TEST(BufferInsertion, StoreAndLoadEdgesPointThroughBuffer) {
     }
     EXPECT_TRUE(has_in);
     EXPECT_TRUE(has_out);
+
+    const Graph lib = flow(ctx, true, false, false);
+    int lib_buf = -1;
+    for (int v = 0; v < lib.num_nodes; ++v)
+        if (lib.labels[static_cast<std::size_t>(v)] == "buffer:buf[0]") lib_buf = v;
+    ASSERT_GE(lib_buf, 0);
+    bool lib_in = false, lib_out = false;
+    for (const auto& e : lib.edges) {
+        if (e.dst == lib_buf) lib_in = true;
+        if (e.src == lib_buf) lib_out = true;
+    }
+    EXPECT_TRUE(lib_in);
+    EXPECT_TRUE(lib_out);
 }
 
 TEST(DatapathMerge, FusesIdenticalAddressChains) {
@@ -111,16 +157,20 @@ TEST(DatapathMerge, FusesIdenticalAddressChains) {
     b.end_loop();
     Ctx ctx(b.build());
 
-    WorkGraph g = graphgen::build_dfg(ctx.fn, ctx.elab);
-    graphgen::insert_buffers(g);
+    WorkGraph g = graphgen::ref::build_dfg(ctx.fn, ctx.elab);
+    graphgen::ref::insert_buffers(g);
     const int before = g.live_nodes();
-    graphgen::merge_datapaths(g, ctx.binding);
+    graphgen::ref::merge_datapaths(g, ctx.binding);
     EXPECT_LT(g.live_nodes(), before);
 
     int geps = 0;
     for (const auto& node : g.nodes)
         if (!node.removed && node.op == ir::Opcode::GetElementPtr) ++geps;
     EXPECT_EQ(geps, 1);
+
+    const Graph lib = flow(ctx, true, true, false);
+    EXPECT_LT(lib.num_nodes, flow(ctx, true, false, false).num_nodes);
+    EXPECT_EQ(count_labeled(lib, op_label(ir::Opcode::GetElementPtr)), 1);
 }
 
 TEST(DatapathMerge, MergesResourceSharedMultipliers) {
@@ -138,13 +188,15 @@ TEST(DatapathMerge, MergesResourceSharedMultipliers) {
     b.end_loop();
     Ctx ctx(b.build());
 
-    WorkGraph g = graphgen::build_dfg(ctx.fn, ctx.elab);
-    graphgen::insert_buffers(g);
-    graphgen::merge_datapaths(g, ctx.binding);
+    WorkGraph g = graphgen::ref::build_dfg(ctx.fn, ctx.elab);
+    graphgen::ref::insert_buffers(g);
+    graphgen::ref::merge_datapaths(g, ctx.binding);
     int muls = 0;
     for (const auto& node : g.nodes)
         if (!node.removed && node.op == ir::Opcode::Mul) ++muls;
     EXPECT_EQ(muls, 1);
+
+    EXPECT_EQ(count_labeled(flow(ctx, true, true, false), op_label(ir::Opcode::Mul)), 1);
 }
 
 TEST(Trim, RemovesCastsAndConstants) {
@@ -157,10 +209,10 @@ TEST(Trim, RemovesCastsAndConstants) {
     b.end_loop();
     Ctx ctx(b.build());
 
-    WorkGraph g = graphgen::build_dfg(ctx.fn, ctx.elab);
-    graphgen::insert_buffers(g);
-    graphgen::merge_datapaths(g, ctx.binding);
-    graphgen::trim_graph(g);
+    WorkGraph g = graphgen::ref::build_dfg(ctx.fn, ctx.elab);
+    graphgen::ref::insert_buffers(g);
+    graphgen::ref::merge_datapaths(g, ctx.binding);
+    graphgen::ref::trim_graph(g);
     for (const auto& node : g.nodes) {
         if (node.removed || node.is_buffer) continue;
         EXPECT_FALSE(ir::is_trivial_cast(node.op));
@@ -168,13 +220,18 @@ TEST(Trim, RemovesCastsAndConstants) {
     }
     // The datapath is bridged: the add still has an upstream load.
     const auto oracle = ctx.oracle();
-    const Graph final_g = graphgen::annotate_features(g, oracle);
-    int add_node = -1;
-    for (int v = 0; v < final_g.num_nodes; ++v)
-        if (final_g.labels[static_cast<std::size_t>(v)].rfind("add", 0) == 0)
-            add_node = v;
-    ASSERT_GE(add_node, 0);
-    EXPECT_GT(final_g.in_degree(add_node), 0);
+    const Graph lib = flow(ctx, true, true, true);
+    for (const Graph& final_g : {graphgen::ref::annotate_features(g, oracle), lib}) {
+        int add_node = -1;
+        for (int v = 0; v < final_g.num_nodes; ++v)
+            if (final_g.labels[static_cast<std::size_t>(v)].rfind("add", 0) == 0)
+                add_node = v;
+        ASSERT_GE(add_node, 0);
+        EXPECT_GT(in_degree(final_g, add_node), 0);
+    }
+    for (ir::Opcode op : {ir::Opcode::Trunc, ir::Opcode::ZExt, ir::Opcode::SExt,
+                          ir::Opcode::Const})
+        EXPECT_EQ(count_labeled(lib, op_label(op)), 0) << ir::opcode_name(op);
 }
 
 TEST(Features, GraphIsValidWithSaneDims) {
