@@ -155,16 +155,17 @@ inline std::vector<dse::Point> predicted_hlpow(
     return pts;
 }
 
-/// Predicted points with PowerGear as the predictor (trained leave-one-out).
+/// Predicted points with PowerGear as the predictor (trained leave-one-out),
+/// scored by one estimate_batch over the eval pool, as product DSE does.
 inline std::vector<dse::Point> predicted_powergear(
     const std::vector<dataset::Dataset>& suite, std::size_t d,
     const dataset::Dataset& eval, const core::PowerGear::Options& opts) {
     core::PowerGear pg(opts);
     pg.fit(dataset::pool_except(suite, d));
+    const std::vector<core::Estimate> ests =
+        pg.estimate_batch(dataset::pool_of(eval));
     std::vector<dse::Point> pts = truth_points(eval);
-    for (auto& p : pts)
-        p.power =
-            pg.estimate(eval.samples[static_cast<std::size_t>(p.index)]);
+    for (auto& p : pts) p.power = ests[static_cast<std::size_t>(p.index)].watts;
     return pts;
 }
 

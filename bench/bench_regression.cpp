@@ -385,7 +385,9 @@ int main(int argc, char** argv) {
             const nn::Tensor a = nn::Tensor::xavier(128, 128, rng);
             const nn::Tensor b = nn::Tensor::xavier(128, 128, rng);
             results.push_back(run_bench("matmul128", reps, [&] {
-                auto c = nn::matmul(a, b);
+                nn::Tensor c(128, 128);
+                nn::kernels::matmul(128, 128, 128, a.data(), b.data(),
+                                    c.data());
                 if (c.rows() != 128) std::abort();
             }));
         }
@@ -425,7 +427,8 @@ int main(int argc, char** argv) {
             gnn::PowerModel model(cfg);
             volatile float sink = 0.0f;
             results.push_back(run_bench("hecgnn_forward", reps, [&] {
-                sink = model.predict(p.tensors);
+                nn::Tape t; // fresh per call: times arena growth too
+                sink = model.predict(p.tensors, t);
             }));
             (void)sink;
         }

@@ -287,9 +287,14 @@ int main(int argc, char** argv) {
             for (int i = 0; i < reps; ++i) {
                 core::PowerGear cold{core::PowerGear::Options{}};
                 cold.load(fx.model_path);
-                const double w = cold.estimate(
-                    fx.eval.samples[static_cast<std::size_t>(i) %
-                                    fx.eval.samples.size()]);
+                const dataset::Sample* one =
+                    &fx.eval.samples[static_cast<std::size_t>(i) %
+                                     fx.eval.samples.size()];
+                const double w =
+                    cold.estimate_batch(
+                            core::SamplePool(core::SamplePool::View(&one, 1)))
+                        .front()
+                        .watts;
                 if (!(w == w)) std::abort();
             }
             cold_inproc_ms = t.millis() / reps;

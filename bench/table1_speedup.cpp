@@ -3,6 +3,17 @@
 // over the Vivado-like power estimation flow (gate-level vector simulation
 // -> implementation/placement -> analytical report). Both sides are wall-
 // clock measured on the same designs; nothing is asserted.
+//
+// What the two timers cover. Both start after the per-kernel IR value
+// trace exists (dataset/generator.cpp builds one trace per (kernel,
+// stimulus) and shares it across every design point), so sim::simulate is
+// amortised: neither side pays it per design.
+//   PowerGear: Sample::powergear_runtime_s (hls::synthesize, activity
+//     oracle, graph construction, metadata, tensorize; timed in
+//     dataset::compute_sample) plus the batched inference timed below.
+//   Vivado-like: Sample::vivado_runtime_s (fpga::vivado_estimate), which
+//     still includes its own bit-serial gate-level vector simulation over
+//     the oracle's waveforms, then netlist, placement, routing and report.
 #include "bench_common.hpp"
 
 using namespace powergear;

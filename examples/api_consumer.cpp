@@ -14,8 +14,8 @@
 #include <cmath>
 #include <cstdio>
 
-static_assert(POWERGEAR_API_VERSION == 2,
-              "example written against API v2 — revisit on a version bump");
+static_assert(POWERGEAR_API_VERSION == 3,
+              "example written against API v3 — revisit on a version bump");
 
 int main() {
     using namespace powergear;

@@ -11,8 +11,9 @@
 //
 // Supported surface
 //
-//   powergear::PowerGear          train / estimate / save / load the
-//                                 hetero-edge-centric GNN ensemble
+//   powergear::PowerGear          train / estimate_batch / save / load
+//                                 the hetero-edge-centric GNN ensemble;
+//                                 one design is a one-sample pool
 //   powergear::PowerGear::Options model + training configuration
 //   powergear::Estimate           { watts, member_spread } per design
 //   powergear::SamplePool         non-owning ordered batch of samples
@@ -34,11 +35,16 @@
 //     silently.
 //   - Anything you reach through an internal header directly (ir::, gnn::,
 //     nn::, ...) can change in any release without notice.
+//
+// Version history:
+//   2  PowerGear::estimate_batch(pool, chunk) removed (chunking is internal).
+//   3  The single-sample estimate overloads removed: estimate_batch is
+//      the one estimation call, and a one-sample pool scores one design.
 #pragma once
 
 /// Major version of the public API re-exported by this header. Compile-time
 /// check: #if POWERGEAR_API_VERSION != <expected> #error ... #endif
-#define POWERGEAR_API_VERSION 2
+#define POWERGEAR_API_VERSION 3
 
 #include "core/powergear.hpp"
 #include "core/sample_pool.hpp"

@@ -143,15 +143,6 @@ bool PowerGear::fit_cached(const SamplePool& train, const io::Cache& cache) {
     return false;
 }
 
-double PowerGear::estimate(const dataset::Sample& sample) const {
-    return estimate(sample.tensors);
-}
-
-double PowerGear::estimate(const gnn::GraphTensors& tensors) const {
-    if (!fitted_) throw std::logic_error("PowerGear::estimate before fit");
-    return ensemble_.predict(tensors);
-}
-
 std::vector<Estimate> PowerGear::estimate_batch(const SamplePool& samples) const {
     if (!fitted_)
         throw std::logic_error("PowerGear::estimate_batch before fit");

@@ -76,12 +76,10 @@ public:
     /// Returns true on a cache hit. With a disabled cache this is plain fit().
     bool fit_cached(const SamplePool& train, const io::Cache& cache);
 
-    /// Power estimate (watts) for one sample's graph + metadata.
-    double estimate(const dataset::Sample& sample) const;
-    double estimate(const gnn::GraphTensors& tensors) const;
-
     /// Batch estimation: one Estimate per pool entry, in pool order, fanned
-    /// out over the parallel runtime (bit-identical at any job count).
+    /// out over the parallel runtime (bit-identical at any job count). The
+    /// one estimation entry point: a single design is a one-sample pool,
+    /// e.g. SamplePool(SamplePool::View(&sample_ptr, 1)).
     std::vector<Estimate> estimate_batch(const SamplePool& samples) const;
 
     /// MAPE (%) against board measurements on a test pool.

@@ -14,11 +14,13 @@
 //   graph_id[r]      owning graph of merged node row r (ascending)
 //   edge offsetting  merged_idx = local_idx + node_offset[graph]
 //
-// This is the model's only input form: PowerModel::predict on one graph
-// runs a batch of one that borrows the graph's tensors.
+// This is the model's only input form. PowerModel::predict_batch runs an
+// assembled batch (estimate_batch, training minibatches); PowerModel::
+// predict(g, tape) runs a batch of one that borrows g's tensors without
+// assembling (Ensemble::predict_stats, hence evaluate_mape).
 //
-// Numerics: a batch of one is bit-identical to PowerModel::predict; in
-// larger batches the kernels' tiling and sparsity decisions see the whole
+// Numerics: an assembled batch of one is bit-identical to predict(g, tape);
+// in larger batches the kernels' tiling and sparsity decisions see the whole
 // batch, so per-graph results are only guaranteed within the documented
 // <=1e-5 relative envelope (DESIGN.md §10/§13).
 #pragma once

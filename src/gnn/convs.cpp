@@ -193,11 +193,15 @@ int GraphConvLayer::forward(Tape& t, const GraphTensors& g, int h) {
     int neigh = -1;
     if (!g.src.empty()) {
         // Edge weight: source-side switching activity (first edge feature).
-        std::vector<float> weights(g.src.size());
-        for (std::size_t e = 0; e < g.src.size(); ++e)
-            weights[e] = g.edge_feat.at(static_cast<int>(e), 0);
+        // The weights live in a constant tape leaf, so the span scale_rows
+        // borrows stays valid through backward().
+        const int edges = static_cast<int>(g.src.size());
+        nn::Tensor weights(edges, 1);
+        for (int e = 0; e < edges; ++e) weights.at(e, 0) = g.edge_feat.at(e, 0);
+        const int leaf = t.input(std::move(weights));
+        const std::span<const float> w(t.value(leaf).data(), g.src.size());
         const int gathered = t.gather_rows(h, std::span<const int>(g.src));
-        const int weighted = t.scale_rows(gathered, std::move(weights));
+        const int weighted = t.scale_rows(gathered, w);
         const int summed = t.scatter_add_rows(
             weighted, std::span<const int>(g.dst), g.num_nodes);
         neigh = w_neigh.forward(t, summed);

@@ -149,12 +149,9 @@ void Ensemble::adopt(std::vector<std::unique_ptr<PowerModel>> members) {
     members_ = std::move(members);
 }
 
-float Ensemble::predict(const GraphTensors& g) const {
-    return predict_stats(g).mean;
-}
-
 Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
-    if (members_.empty()) throw std::logic_error("Ensemble::predict before fit");
+    if (members_.empty())
+        throw std::logic_error("Ensemble::predict_stats before fit");
     std::vector<float> preds;
     preds.reserve(members_.size());
     nn::Tape t; // one arena shared across members
@@ -165,7 +162,7 @@ Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
 std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
     std::span<const GraphTensors* const> graphs) const {
     if (members_.empty())
-        throw std::logic_error("Ensemble::predict before fit");
+        throw std::logic_error("Ensemble::predict_stats_batch before fit");
     if (graphs.empty()) return {};
     const std::size_t nm = members_.size();
     const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
@@ -217,7 +214,8 @@ double Ensemble::evaluate_mape(std::span<const GraphTensors* const> graphs,
     // weights); the summation below stays in index order for bit-identical
     // results at any job count.
     const std::vector<float> preds = util::parallel_map<float>(
-        graphs.size(), [&](std::size_t i) { return predict(*graphs[i]); });
+        graphs.size(),
+        [&](std::size_t i) { return predict_stats(*graphs[i]).mean; });
     double s = 0.0;
     for (std::size_t i = 0; i < graphs.size(); ++i)
         s += std::abs(preds[i] - targets[i]) /

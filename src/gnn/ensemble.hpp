@@ -42,9 +42,6 @@ public:
     void fit(std::span<const GraphTensors* const> graphs,
              std::span<const float> targets, const EnsembleConfig& cfg);
 
-    /// Average member predictions (predict_stats(g).mean).
-    float predict(const GraphTensors& g) const;
-
     /// Average plus member spread in one pass over the members.
     Stats predict_stats(const GraphTensors& g) const;
 

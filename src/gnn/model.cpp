@@ -101,11 +101,6 @@ int PowerModel::forward(nn::Tape& t, const GraphTensors& g,
     return head_->forward(t, holistic);
 }
 
-float PowerModel::predict(const GraphTensors& g) {
-    nn::Tape t;
-    return predict(g, t);
-}
-
 float PowerModel::predict(const GraphTensors& g, nn::Tape& t) {
     // A batch of one that borrows g: every row belongs to graph 0. The ids
     // only need to outlive this forward, since inference never runs

@@ -45,10 +45,8 @@ public:
     explicit PowerModel(const ModelConfig& cfg);
 
     /// Inference (no dropout) on a batch of one that borrows g (no tensor
-    /// copies). Returns the power estimate in watts.
-    float predict(const GraphTensors& g);
-    /// Inference reusing a caller-owned tape (resets it first) so repeated
-    /// predictions share one grown-once arena instead of reallocating.
+    /// copies); returns the power estimate in watts. Resets the caller-owned
+    /// tape first, so repeated predictions share one grown-once arena.
     float predict(const GraphTensors& g, nn::Tape& t);
 
     /// Fused batched inference over a pre-assembled block-diagonal batch:

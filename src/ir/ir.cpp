@@ -95,13 +95,6 @@ std::vector<int> Function::region_instrs(int loop_id) const {
     return out;
 }
 
-std::vector<int> Function::loop_children(int loop_id) const {
-    std::vector<int> out;
-    for (const BodyItem& item : region(loop_id))
-        if (item.kind == BodyItem::Kind::ChildLoop) out.push_back(item.index);
-    return out;
-}
-
 bool Function::is_innermost(int loop_id) const {
     for (const BodyItem& item : loop(loop_id).body)
         if (item.kind == BodyItem::Kind::ChildLoop) return false;
@@ -113,25 +106,6 @@ std::vector<int> Function::innermost_loops() const {
     for (int l = 0; l < static_cast<int>(loops.size()); ++l)
         if (is_innermost(l)) out.push_back(l);
     return out;
-}
-
-int Function::loop_depth(int loop_id) const {
-    int depth = 0;
-    for (int l = loop_id; l >= 0; l = loop(l).parent) ++depth;
-    return depth;
-}
-
-std::int64_t Function::total_iterations(int loop_id) const {
-    std::int64_t n = 1;
-    for (int l = loop_id; l >= 0; l = loop(l).parent) n *= loop(l).trip_count;
-    return n;
-}
-
-int Function::count_opcode(Opcode op) const {
-    int n = 0;
-    for (const Instr& in : instrs)
-        if (in.op == op) ++n;
-    return n;
 }
 
 } // namespace powergear::ir

@@ -121,23 +121,11 @@ struct Function {
     /// (child-loop bodies excluded), in statement order.
     std::vector<int> region_instrs(int loop_id) const;
 
-    /// Ids of the direct child loops of a region (-1 = top level).
-    std::vector<int> loop_children(int loop_id) const;
-
     /// True when `loop_id` contains no child loops.
     bool is_innermost(int loop_id) const;
 
     /// Ids of loops with no children, in declaration order.
     std::vector<int> innermost_loops() const;
-
-    /// Loop-nest depth of a loop (1 = top-level loop).
-    int loop_depth(int loop_id) const;
-
-    /// Product of trip counts of `loop_id` and all its ancestors.
-    std::int64_t total_iterations(int loop_id) const;
-
-    /// Number of instructions with a given opcode.
-    int count_opcode(Opcode op) const;
 };
 
 /// A module groups functions (one per kernel in this reproduction).

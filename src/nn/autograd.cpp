@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nn/kernels_cpu.hpp"
 
@@ -12,6 +13,10 @@ namespace powergear::nn {
 namespace k = kernels;
 
 int Tape::push(Tensor val, std::function<void(Tape&, int)> backprop) {
+    // Growing nodes_ must move, never copy, a node: the storage of an owned
+    // input() leaf then stays put, so spans over it (scale_rows weights)
+    // stay valid until reset().
+    static_assert(std::is_nothrow_move_constructible_v<Node>);
     Node n;
     n.val = std::move(val);
     n.backprop = std::move(backprop);
@@ -171,8 +176,7 @@ int Tape::dropout(int x, float p, util::Rng& rng, bool training) {
     });
 }
 
-int Tape::gather_rows_impl(int x, std::span<const int> idx,
-                           std::shared_ptr<const void> keep) {
+int Tape::gather_rows(int x, std::span<const int> idx) {
     const Tensor& xv = value(x);
     const int e = static_cast<int>(idx.size()), cols = xv.cols();
     Tensor out = make(e, cols);
@@ -180,29 +184,17 @@ int Tape::gather_rows_impl(int x, std::span<const int> idx,
         std::memcpy(out.row(r), xv.row(idx[static_cast<std::size_t>(r)]),
                     static_cast<std::size_t>(cols) * sizeof(float));
     const int* ip = idx.data();
-    return push(std::move(out),
-                [x, ip, e, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    Tensor& xg = t.grad_buf(x);
-                    const std::size_t c = static_cast<std::size_t>(g.cols());
-                    for (int r = 0; r < e; ++r)
-                        k::vacc(c, g.row(r), xg.row(ip[r]));
-                });
+    return push(std::move(out), [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        Tensor& xg = t.grad_buf(x);
+        const std::size_t c = static_cast<std::size_t>(g.cols());
+        for (int r = 0; r < e; ++r)
+            k::vacc(c, g.row(r), xg.row(ip[r]));
+    });
 }
 
-int Tape::gather_rows(int x, std::span<const int> idx) {
-    return gather_rows_impl(x, idx, nullptr);
-}
-
-int Tape::gather_rows(int x, std::vector<int> idx) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(idx));
-    return gather_rows_impl(x, std::span<const int>(*keep), keep);
-}
-
-int Tape::scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
-                                std::shared_ptr<const void> keep) {
+int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
     const Tensor& xv = value(x);
     if (static_cast<int>(idx.size()) != xv.rows())
         throw std::invalid_argument("Tape::scatter_add_rows: index count");
@@ -212,29 +204,17 @@ int Tape::scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
     for (int r = 0; r < e; ++r)
         k::vacc(cols, xv.row(r), out.row(idx[static_cast<std::size_t>(r)]));
     const int* ip = idx.data();
-    return push(std::move(out),
-                [x, ip, e, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    Tensor& xg = t.grad_buf(x);
-                    const std::size_t c = static_cast<std::size_t>(g.cols());
-                    for (int r = 0; r < e; ++r)
-                        k::vacc(c, g.row(ip[r]), xg.row(r));
-                });
+    return push(std::move(out), [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        Tensor& xg = t.grad_buf(x);
+        const std::size_t c = static_cast<std::size_t>(g.cols());
+        for (int r = 0; r < e; ++r)
+            k::vacc(c, g.row(ip[r]), xg.row(r));
+    });
 }
 
-int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
-    return scatter_add_rows_impl(x, idx, out_rows, nullptr);
-}
-
-int Tape::scatter_add_rows(int x, std::vector<int> idx, int out_rows) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(idx));
-    return scatter_add_rows_impl(x, std::span<const int>(*keep), out_rows, keep);
-}
-
-int Tape::scale_rows_impl(int x, std::span<const float> weights,
-                          std::shared_ptr<const void> keep) {
+int Tape::scale_rows(int x, std::span<const float> weights) {
     const Tensor& xv = value(x);
     if (static_cast<int>(weights.size()) != xv.rows())
         throw std::invalid_argument("Tape::scale_rows: weight count");
@@ -247,28 +227,17 @@ int Tape::scale_rows_impl(int x, std::span<const float> weights,
         for (int c = 0; c < cols; ++c) outr[c] = xr[c] * wr;
     }
     const float* wp = weights.data();
-    return push(std::move(out),
-                [x, wp, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    Tensor& xg = t.grad_buf(x);
-                    for (int r = 0; r < g.rows(); ++r) {
-                        const float wr = wp[r];
-                        const float* gr = g.row(r);
-                        float* xr = xg.row(r);
-                        for (int c = 0; c < g.cols(); ++c) xr[c] += gr[c] * wr;
-                    }
-                });
-}
-
-int Tape::scale_rows(int x, std::span<const float> weights) {
-    return scale_rows_impl(x, weights, nullptr);
-}
-
-int Tape::scale_rows(int x, std::vector<float> weights) {
-    auto keep = std::make_shared<const std::vector<float>>(std::move(weights));
-    return scale_rows_impl(x, std::span<const float>(*keep), keep);
+    return push(std::move(out), [x, wp](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        Tensor& xg = t.grad_buf(x);
+        for (int r = 0; r < g.rows(); ++r) {
+            const float wr = wp[r];
+            const float* gr = g.row(r);
+            float* xr = xg.row(r);
+            for (int c = 0; c < g.cols(); ++c) xr[c] += gr[c] * wr;
+        }
+    });
 }
 
 int Tape::concat_cols(int a, int b) {
@@ -296,8 +265,7 @@ int Tape::concat_cols(int a, int b) {
     });
 }
 
-int Tape::segment_sum_impl(int x, std::span<const int> seg, int num_segs,
-                           std::shared_ptr<const void> keep) {
+int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
     const Tensor& xv = value(x);
     if (static_cast<int>(seg.size()) != xv.rows())
         throw std::invalid_argument("Tape::segment_sum: segment id count");
@@ -308,55 +276,12 @@ int Tape::segment_sum_impl(int x, std::span<const int> seg, int num_segs,
     Tensor out = make(num_segs, cols);
     k::segment_sum(rows, cols, xv.data(), seg.data(), num_segs, out.data());
     const int* sp = seg.data();
-    return push(std::move(out),
-                [x, sp, rows, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    k::segment_sum_backward(rows, g.cols(), g.data(), sp,
-                                            t.grad_buf(x).data());
-                });
-}
-
-int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
-    return segment_sum_impl(x, seg, num_segs, nullptr);
-}
-
-int Tape::segment_sum(int x, std::vector<int> seg, int num_segs) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(seg));
-    return segment_sum_impl(x, std::span<const int>(*keep), num_segs, keep);
-}
-
-int Tape::segment_mean_impl(int x, std::span<const int> seg, int num_segs,
-                            std::shared_ptr<const void> keep) {
-    const Tensor& xv = value(x);
-    if (static_cast<int>(seg.size()) != xv.rows())
-        throw std::invalid_argument("Tape::segment_mean: segment id count");
-    for (const int s : seg)
-        if (s < 0 || s >= num_segs)
-            throw std::invalid_argument("Tape::segment_mean: id out of range");
-    const int rows = xv.rows(), cols = xv.cols();
-    Tensor out = make(num_segs, cols);
-    k::segment_mean(rows, cols, xv.data(), seg.data(), num_segs, out.data());
-    const int* sp = seg.data();
-    return push(std::move(out),
-                [x, sp, rows, num_segs, keep = std::move(keep)](Tape& t,
-                                                                int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    k::segment_mean_backward(rows, g.cols(), g.data(), sp,
-                                             num_segs, t.grad_buf(x).data());
-                });
-}
-
-int Tape::segment_mean(int x, std::span<const int> seg, int num_segs) {
-    return segment_mean_impl(x, seg, num_segs, nullptr);
-}
-
-int Tape::segment_mean(int x, std::vector<int> seg, int num_segs) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(seg));
-    return segment_mean_impl(x, std::span<const int>(*keep), num_segs, keep);
+    return push(std::move(out), [x, sp, rows](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        k::segment_sum_backward(rows, g.cols(), g.data(), sp,
+                                t.grad_buf(x).data());
+    });
 }
 
 int Tape::scale(int x, float s) {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -76,28 +75,19 @@ public:
     int relu(int x);
     /// Inverted dropout; pass training=false for a no-op passthrough.
     int dropout(int x, float p, util::Rng& rng, bool training);
-    /// out[i] = x[idx[i]]  — node -> edge-endpoint gather. The span overloads
-    /// borrow the index/weight storage (lifetime as input_view); the vector
-    /// overloads take ownership.
+    // The index and weight spans below are borrowed, with input_view's
+    // lifetime contract: backward() reads them again.
+    /// out[i] = x[idx[i]]  — node -> edge-endpoint gather.
     int gather_rows(int x, std::span<const int> idx);
-    int gather_rows(int x, std::vector<int> idx);
     /// out[idx[i]] += x[i] — edge -> node aggregation.
     int scatter_add_rows(int x, std::span<const int> idx, int out_rows);
-    int scatter_add_rows(int x, std::vector<int> idx, int out_rows);
     /// Row-wise scaling by fixed per-row weights (e.g. GCN normalization).
     int scale_rows(int x, std::span<const float> weights);
-    int scale_rows(int x, std::vector<float> weights);
     int concat_cols(int a, int b);
     /// Segmented column-wise sum: (n,d) -> (num_segs,d), row r accumulated
     /// into output row seg[r] in ascending row order; the sum-pooling
     /// readout. seg values must lie in [0, num_segs).
-    /// The span overload borrows the ids (lifetime as input_view); the
-    /// vector overload takes ownership.
     int segment_sum(int x, std::span<const int> seg, int num_segs);
-    int segment_sum(int x, std::vector<int> seg, int num_segs);
-    /// Segmented mean; empty segments produce exactly-zero output rows.
-    int segment_mean(int x, std::span<const int> seg, int num_segs);
-    int segment_mean(int x, std::vector<int> seg, int num_segs);
     int scale(int x, float s);
 
     /// Mean absolute percentage error over the B rows of one (B,1)
@@ -130,17 +120,6 @@ private:
     /// Arena-backed zeroed (rows, cols) view.
     Tensor make(int rows, int cols);
     Tensor& grad_buf(int node);
-
-    int gather_rows_impl(int x, std::span<const int> idx,
-                         std::shared_ptr<const void> keep);
-    int segment_sum_impl(int x, std::span<const int> seg, int num_segs,
-                         std::shared_ptr<const void> keep);
-    int segment_mean_impl(int x, std::span<const int> seg, int num_segs,
-                          std::shared_ptr<const void> keep);
-    int scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
-                              std::shared_ptr<const void> keep);
-    int scale_rows_impl(int x, std::span<const float> weights,
-                        std::shared_ptr<const void> keep);
 
     Arena arena_; ///< declared before nodes_: views die before their storage
     std::vector<Node> nodes_;

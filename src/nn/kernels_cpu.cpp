@@ -31,24 +31,12 @@ void matmul(int m, int k, int n, const float* a, const float* b, float* c) {
     ops().matmul(m, k, n, a, b, c);
 }
 
-void matmul_tn(int m, int k, int n, const float* a, const float* b, float* c) {
-    ops().matmul_tn(m, k, n, a, b, c);
-}
-
-void matmul_nt(int m, int k, int n, const float* a, const float* b, float* c) {
-    ops().matmul_nt(m, k, n, a, b, c);
-}
-
 void gather_matmul(int e, int k, int n, const float* x, const int* idx,
                    const float* w, float* out) {
     ops().gather_matmul(e, k, n, x, idx, w, out);
 }
 
 // --- dispatched (accumulate) -------------------------------------------------
-
-void matmul_acc(int m, int k, int n, const float* a, const float* b, float* c) {
-    ops().matmul_acc(m, k, n, a, b, c);
-}
 
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* b,
                    float* c) {
@@ -70,7 +58,7 @@ void scatter_matmul_nt_acc(int e, int k, int n, const float* g, const float* w,
     ops().scatter_matmul_nt_acc(e, k, n, g, w, idx, dx);
 }
 
-// --- segmented reductions ----------------------------------------------------
+// --- segmented sum ----------------------------------------------------------
 
 void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out) {
@@ -80,16 +68,6 @@ void segment_sum(int rows, int cols, const float* x, const int* seg,
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx) {
     ops().segment_sum_backward(rows, cols, g, seg, dx);
-}
-
-void segment_mean(int rows, int cols, const float* x, const int* seg,
-                  int num_segs, float* out) {
-    ops().segment_mean(rows, cols, x, seg, num_segs, out);
-}
-
-void segment_mean_backward(int rows, int cols, const float* g, const int* seg,
-                           int num_segs, float* dx) {
-    ops().segment_mean_backward(rows, cols, g, seg, num_segs, dx);
 }
 
 // --- fused elementwise epilogues ---------------------------------------------

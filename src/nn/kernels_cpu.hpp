@@ -17,13 +17,14 @@
 // compiled table.
 //
 // Shape conventions (row-major, row stride == column count):
-//   matmul      c(m,n)  = a(m,k) · b(k,n)
-//   matmul_tn   c(k,n)  = a(m,k)ᵀ · b(m,n)
-//   matmul_nt   c(m,n)  = a(m,k) · b(n,k)ᵀ
-//   gather_matmul out(e,n) = x[idx[r]] · w(k,n)   (fused row gather + matmul)
+//   matmul         c(m,n)  = a(m,k) · b(k,n)
+//   matmul_tn_acc  c(k,n) += a(m,k)ᵀ · b(m,n)
+//   matmul_nt_acc  c(m,n) += a(m,k) · b(n,k)ᵀ
+//   gather_matmul  out(e,n) = x[idx[r]] · w(k,n)  (fused row gather + matmul)
 //
-// The *_acc variants accumulate (c += ...) for gradient accumulation; the
-// plain variants overwrite. The fused epilogues (add_bias_relu,
+// The forward products overwrite; the *_acc products accumulate (c += ...)
+// and exist for the backward pass, which is the only place a transposed
+// operand appears. The fused epilogues (add_bias_relu,
 // relu_forward/backward, vadd/vacc) are elementwise and ISA-invariant in
 // results.
 #pragma once
@@ -34,13 +35,10 @@ namespace powergear::nn::kernels {
 
 // --- dispatched kernels (overwrite) -----------------------------------------
 void matmul(int m, int k, int n, const float* a, const float* b, float* c);
-void matmul_tn(int m, int k, int n, const float* a, const float* b, float* c);
-void matmul_nt(int m, int k, int n, const float* a, const float* b, float* c);
 void gather_matmul(int e, int k, int n, const float* x, const int* idx,
                    const float* w, float* out);
 
 // --- dispatched kernels (accumulate, for backward) ---------------------------
-void matmul_acc(int m, int k, int n, const float* a, const float* b, float* c);
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* b,
                    float* c);
 void matmul_nt_acc(int m, int k, int n, const float* a, const float* b,
@@ -52,27 +50,18 @@ void gather_matmul_tn_acc(int e, int k, int n, const float* x, const int* idx,
 void scatter_matmul_nt_acc(int e, int k, int n, const float* g, const float* w,
                            const int* idx, float* dx);
 
-// --- segmented reductions (batched multi-graph readout) ----------------------
-// out(num_segs, cols) with out[s] = Σ / mean of the x rows whose seg id is s.
+// --- segmented sum (batched multi-graph readout) -----------------------------
+// out(num_segs, cols) with out[s] = Σ of the x rows whose seg id is s.
 // seg must hold values in [0, num_segs); rows are reduced in ascending row
 // order, so a single-segment segment_sum is bit-identical to summing rows
-// with vacc. The forward kernels contain no multiply-adds (the mean's
-// 1/count scale is a lone multiply), so like vadd/vacc they are ISA-
-// invariant in results and bit-identical to the reference oracle;
-// segment_mean_backward's g*inv accumulate may FMA-contract on AVX2 and
-// only promises the 1e-5 envelope.
+// with vacc. Both kernels are pure adds, so like vadd/vacc they are ISA-
+// invariant in results and bit-identical to the reference oracle.
 /// out[s][c] = Σ_{r : seg[r]==s} x[r][c] (overwrite; ascending r).
 void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out);
 /// dx[r] += g[seg[r]]  (backward of segment_sum).
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
-/// out[s] = segment sum / count(s); empty segments stay exactly zero.
-void segment_mean(int rows, int cols, const float* x, const int* seg,
-                  int num_segs, float* out);
-/// dx[r] += g[seg[r]] / count(seg[r])  (backward of segment_mean).
-void segment_mean_backward(int rows, int cols, const float* g, const int* seg,
-                           int num_segs, float* dx);
 
 // --- fused elementwise epilogues (ISA-invariant) -----------------------------
 /// y(rows,cols) = x + bias with bias(1,cols) broadcast over rows.

@@ -23,14 +23,8 @@ namespace powergear::nn::kernels {
 struct BlockedOps {
     void (*matmul)(int m, int k, int n, const float* a, const float* b,
                    float* c);
-    void (*matmul_acc)(int m, int k, int n, const float* a, const float* b,
-                       float* c);
-    void (*matmul_tn)(int m, int k, int n, const float* a, const float* b,
-                      float* c);
     void (*matmul_tn_acc)(int m, int k, int n, const float* a, const float* b,
                           float* c);
-    void (*matmul_nt)(int m, int k, int n, const float* a, const float* b,
-                      float* c);
     void (*matmul_nt_acc)(int m, int k, int n, const float* a, const float* b,
                           float* c);
     void (*gather_matmul)(int e, int k, int n, const float* x, const int* idx,
@@ -56,20 +50,14 @@ struct BlockedOps {
                           float* dx);
     void (*vadd)(std::size_t n, const float* a, const float* b, float* out);
     void (*vacc)(std::size_t n, const float* src, float* dst);
-    // Segmented reductions for the batched multi-graph readout. The forward
-    // kernels and sum backward contain no multiply-add expressions (the
-    // mean's scale is a lone multiply), so their results are identical in
-    // both translation units like the epilogues. segment_mean_backward has a
-    // g*inv accumulate the AVX2 unit may contract to FMA — gradients stay
-    // within the documented 1e-5 envelope like the matmuls.
+    // Segmented sum for the batched multi-graph readout, forward and
+    // backward. Both are pure adds with no multiply-add expressions, so
+    // their results are identical in both translation units like the
+    // epilogues.
     void (*segment_sum)(int rows, int cols, const float* x, const int* seg,
                         int num_segs, float* out);
     void (*segment_sum_backward)(int rows, int cols, const float* g,
                                  const int* seg, float* dx);
-    void (*segment_mean)(int rows, int cols, const float* x, const int* seg,
-                         int num_segs, float* out);
-    void (*segment_mean_backward)(int rows, int cols, const float* g,
-                                  const int* seg, int num_segs, float* dx);
 };
 
 /// Blocked kernels compiled at the build's baseline ISA. Always available.

@@ -88,25 +88,4 @@ Tensor Tensor::from(int rows, int cols, std::vector<float> values) {
     return t;
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-    if (a.cols() != b.rows()) throw std::invalid_argument("matmul: inner dim");
-    Tensor c(a.rows(), b.cols());
-    kernels::matmul(a.rows(), a.cols(), b.cols(), a.data(), b.data(), c.data());
-    return c;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-    if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn: outer dim");
-    Tensor c(a.cols(), b.cols());
-    kernels::matmul_tn(a.rows(), a.cols(), b.cols(), a.data(), b.data(), c.data());
-    return c;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-    if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: inner dim");
-    Tensor c(a.rows(), b.rows());
-    kernels::matmul_nt(a.rows(), a.cols(), b.rows(), a.data(), b.data(), c.data());
-    return c;
-}
-
 } // namespace powergear::nn

@@ -1,6 +1,6 @@
-// Dense 2-D float tensor with the handful of BLAS-ish kernels the GNN stack
-// needs. Row-major, value semantics, no broadcasting magic — shapes are
-// checked and mismatches throw.
+// Dense 2-D float tensor: the storage every NN kernel (nn/kernels_cpu.hpp)
+// and tape node works on. Row-major, value semantics, no broadcasting
+// magic — shapes are checked and mismatches throw.
 //
 // Storage is either owned (a std::vector, the default) or borrowed
 // (Tensor::borrowed wraps caller-managed memory, e.g. a Tape's arena or a
@@ -69,13 +69,5 @@ private:
     std::vector<float> data_;
     float* ext_ = nullptr; ///< borrowed storage; data_ unused when set
 };
-
-// Value-semantics wrappers over nn::kernels.
-/// C = A(m,k) * B(k,n)
-Tensor matmul(const Tensor& a, const Tensor& b);
-/// C = A^T(m,k)->(k,m) * B(m,n)  (used for weight gradients)
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// C = A(m,k) * B^T(n,k)->(k,n)  (used for input gradients)
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 } // namespace powergear::nn

@@ -33,17 +33,6 @@ const char* phase_name(Phase p) {
     return "unknown";
 }
 
-bool phase_from_name(const std::string& name, Phase& out) {
-    for (int i = 0; i < kPhaseCount; ++i) {
-        const Phase p = static_cast<Phase>(i);
-        if (name == phase_name(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 #ifndef POWERGEAR_NO_OBS
 
 namespace {

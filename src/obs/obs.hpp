@@ -50,9 +50,6 @@ constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
 /// Stable snake_case phase key used in the JSON report ("hls_schedule", ...).
 const char* phase_name(Phase p);
 
-/// Parse a phase key back; returns false for unknown names.
-bool phase_from_name(const std::string& name, Phase& out);
-
 #ifndef POWERGEAR_NO_OBS
 
 /// Whether probes record. First query resolves the default from the

@@ -63,10 +63,6 @@ double Rng::next_gaussian() {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-Rng Rng::fork(std::uint64_t salt) {
-    return Rng(hash_mix(next_u64(), salt));
-}
-
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
     std::uint64_t x = a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
     return splitmix64(x);

@@ -52,10 +52,6 @@ public:
         }
     }
 
-    /// Derive an independent child generator (for per-sample determinism that
-    /// does not depend on call ordering elsewhere).
-    Rng fork(std::uint64_t salt);
-
 private:
     std::uint64_t s_[4]{};
 };

@@ -10,19 +10,10 @@ namespace powergear::util {
 /// Mean of a vector; 0 for empty input.
 double mean(const std::vector<double>& v);
 
-/// Sample standard deviation; 0 for fewer than two elements.
-double stddev(const std::vector<double>& v);
-
 /// Mean absolute percentage error: mean(|pred - truth| / |truth|) * 100.
 /// Entries with |truth| < eps are skipped to avoid division blowup.
 double mape(const std::vector<double>& pred, const std::vector<double>& truth,
             double eps = 1e-9);
-
-/// Root mean squared error.
-double rmse(const std::vector<double>& pred, const std::vector<double>& truth);
-
-/// Pearson correlation coefficient; 0 when either side is constant.
-double pearson(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Population Hamming weight of a 32-bit value, in SWAR arithmetic.
 /// std::popcount compiles to a libgcc call (__popcountdi2) on the baseline

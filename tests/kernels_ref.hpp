@@ -6,7 +6,7 @@
 // baseline ISA with default FP flags, so their results are the same on every
 // host. Parity tests compare every compiled ISA table of the library against
 // them: the matmuls within 1e-5 relative error (DESIGN.md §10), the
-// segmented forwards bit for bit.
+// segmented sums bit for bit.
 //
 // Signatures and shape conventions match nn/kernels_cpu.hpp.
 #pragma once
@@ -14,12 +14,9 @@
 namespace powergear::nn::kernels::ref {
 
 void matmul(int m, int k, int n, const float* a, const float* b, float* c);
-void matmul_tn(int m, int k, int n, const float* a, const float* b, float* c);
-void matmul_nt(int m, int k, int n, const float* a, const float* b, float* c);
 void gather_matmul(int e, int k, int n, const float* x, const int* idx,
                    const float* w, float* out);
 
-void matmul_acc(int m, int k, int n, const float* a, const float* b, float* c);
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* b,
                    float* c);
 void matmul_nt_acc(int m, int k, int n, const float* a, const float* b,
@@ -33,9 +30,5 @@ void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out);
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
-void segment_mean(int rows, int cols, const float* x, const int* seg,
-                  int num_segs, float* out);
-void segment_mean_backward(int rows, int cols, const float* g, const int* seg,
-                           int num_segs, float* dx);
 
 } // namespace powergear::nn::kernels::ref

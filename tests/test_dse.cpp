@@ -21,6 +21,7 @@
 #include "dse/shard.hpp"
 #include "dse/stream.hpp"
 #include "dse/stream_explorer.hpp"
+#include "estimate_one.hpp"
 #include "hls/directives.hpp"
 #include "io/cache.hpp"
 #include "kernels/polybench.hpp"
@@ -304,7 +305,7 @@ TEST(Explorer, EstimatorFormMatchesPointwiseEstimates) {
         const ds::Sample& s = pool[i];
         const double lat = static_cast<double>(s.latency_cycles);
         const int idx = static_cast<int>(i);
-        predicted.push_back({lat, pg.estimate(s), idx});
+        predicted.push_back({lat, powergear::test::estimate_one(pg, s), idx});
         truth.push_back({lat, s.label(ds::PowerKind::Dynamic), idx});
     }
     const DseResult pointwise = explore(predicted, truth, cfg);

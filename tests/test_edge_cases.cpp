@@ -163,7 +163,8 @@ TEST(EdgeCases, ModelHandlesGraphWithNoEdges) {
     g.labels = {"a", "b", "c"};
     const gnn::GraphTensors t =
         gnn::GraphTensors::from(g, std::vector<double>(10, 1.0));
-    EXPECT_TRUE(std::isfinite(model.predict(t)));
+    nn::Tape tape;
+    EXPECT_TRUE(std::isfinite(model.predict(t, tape)));
 }
 
 TEST(EdgeCases, ModelHandlesSingleNodeGraph) {
@@ -186,7 +187,8 @@ TEST(EdgeCases, ModelHandlesSingleNodeGraph) {
     g.edges.push_back(self); // self-loop must not break aggregation
     const gnn::GraphTensors t =
         gnn::GraphTensors::from(g, std::vector<double>(10, 1.0));
-    EXPECT_TRUE(std::isfinite(model.predict(t)));
+    nn::Tape tape;
+    EXPECT_TRUE(std::isfinite(model.predict(t, tape)));
 }
 
 TEST(EdgeCases, ActivityOracleOnZeroLatency) {

@@ -46,6 +46,12 @@ graphgen::Graph tiny_graph(float activity = 1.0f) {
     return g;
 }
 
+/// One inference on a fresh tape.
+float predict(PowerModel& model, const GraphTensors& g) {
+    nn::Tape t;
+    return model.predict(g, t);
+}
+
 GraphTensors tiny_tensors(float activity = 1.0f, double meta = 1.0) {
     return GraphTensors::from(tiny_graph(activity),
                               std::vector<double>(10, meta));
@@ -109,7 +115,7 @@ TEST_P(EveryConvKind, ForwardBackwardRunAndImprove) {
     const double after = model.evaluate_mape(graphs, targets);
     EXPECT_LT(after, before);
     EXPECT_LT(after, 10.0) << conv_kind_name(GetParam());
-    EXPECT_TRUE(std::isfinite(model.predict(g1)));
+    EXPECT_TRUE(std::isfinite(predict(model, g1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EveryConvKind,
@@ -139,7 +145,7 @@ TEST(PowerModel, DirectionalityChangesPrediction) {
     cfg.directed = false;
     PowerModel undirected(cfg); // same seed, same init
     const GraphTensors g = tiny_tensors();
-    EXPECT_NE(directed.predict(g), undirected.predict(g));
+    EXPECT_NE(predict(directed, g), predict(undirected, g));
 }
 
 TEST(PowerModel, EdgeFeatureAblationIgnoresEdgeFeatures) {
@@ -152,25 +158,25 @@ TEST(PowerModel, EdgeFeatureAblationIgnoresEdgeFeatures) {
     for (auto& e : b.edges) e.feat = {9.0f, 9.0f, 9.0f, 9.0f};
     const GraphTensors ta = GraphTensors::from(a, std::vector<double>(10, 1.0));
     const GraphTensors tb = GraphTensors::from(b, std::vector<double>(10, 1.0));
-    EXPECT_FLOAT_EQ(model.predict(ta), model.predict(tb));
+    EXPECT_FLOAT_EQ(predict(model, ta), predict(model, tb));
     // The full model does see them.
     PowerModel full(tiny_config(ConvKind::HecGnn));
-    EXPECT_NE(full.predict(ta), full.predict(tb));
+    EXPECT_NE(predict(full, ta), predict(full, tb));
 }
 
 TEST(PowerModel, MetadataAblationIgnoresMetadata) {
     ModelConfig cfg = tiny_config(ConvKind::HecGnn);
     cfg.metadata = false;
     PowerModel model(cfg);
-    EXPECT_FLOAT_EQ(model.predict(tiny_tensors(1.0f, 1.0)),
-                    model.predict(tiny_tensors(1.0f, 5.0)));
+    EXPECT_FLOAT_EQ(predict(model, tiny_tensors(1.0f, 1.0)),
+                    predict(model, tiny_tensors(1.0f, 5.0)));
 }
 
 TEST(PowerModel, DeterministicForSeed) {
     const GraphTensors g = tiny_tensors();
     PowerModel m1(tiny_config(ConvKind::HecGnn));
     PowerModel m2(tiny_config(ConvKind::HecGnn));
-    EXPECT_FLOAT_EQ(m1.predict(g), m2.predict(g));
+    EXPECT_FLOAT_EQ(predict(m1, g), predict(m2, g));
 }
 
 TEST(PowerModel, RejectsUnsetNodeDim) {
@@ -202,9 +208,11 @@ TEST(Ensemble, AveragesMembersAndEvaluates) {
                                 std::span<const float>(targets)),
               60.0);
 
-    // Mean/spread agree with predict(); four members disagree a little.
+    // The mean is the member average; four members disagree a little.
     const gnn::Ensemble::Stats st = ens.predict_stats(*graphs[0]);
-    EXPECT_FLOAT_EQ(st.mean, ens.predict(*graphs[0]));
+    double mean = 0.0;
+    for (PowerModel* m : ens.members()) mean += predict(*m, *graphs[0]);
+    EXPECT_FLOAT_EQ(st.mean, static_cast<float>(mean / ens.num_members()));
     EXPECT_GE(st.spread, 0.0f);
 }
 
@@ -228,6 +236,35 @@ TEST(Ensemble, VectorsConvertToSpans) {
     ens.fit(graphs, targets, cfg);
     EXPECT_EQ(ens.num_members(), 2);
     EXPECT_TRUE(std::isfinite(ens.evaluate_mape(graphs, targets)));
+}
+
+// The Table I/II MAPE numbers come from Ensemble::evaluate_mape. Pin its
+// value, to the bit, to the formula 100/n * sum |mean - y| / |y| over
+// predict_stats means, accumulated in sample order.
+TEST(Ensemble, EvaluateMapeIsMeanRelativeErrorOfPredictStats) {
+    std::vector<GraphTensors> storage;
+    std::vector<float> targets;
+    for (int i = 0; i < 7; ++i) {
+        storage.push_back(tiny_tensors(0.4f + 0.5f * i, 1.0 + 0.3 * i));
+        targets.push_back(0.35f + 0.09f * i);
+    }
+    std::vector<const GraphTensors*> graphs;
+    for (const auto& g : storage) graphs.push_back(&g);
+    gnn::EnsembleConfig cfg;
+    cfg.model = tiny_config(ConvKind::HecGnn);
+    cfg.folds = 2;
+    cfg.seeds = 1;
+    cfg.epochs = 5;
+    gnn::Ensemble ens;
+    ens.fit(graphs, targets, cfg);
+
+    double sum = 0.0;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        const float mean = ens.predict_stats(*graphs[i]).mean;
+        sum += std::abs(mean - targets[i]) / std::abs(targets[i]);
+    }
+    const double want = 100.0 * sum / static_cast<double>(graphs.size());
+    EXPECT_EQ(ens.evaluate_mape(graphs, targets), want);
 }
 
 TEST(Ensemble, SingleModelModeUsesValidationSplit) {
@@ -255,5 +292,5 @@ TEST(Ensemble, SingleModelModeUsesValidationSplit) {
 TEST(Ensemble, PredictBeforeFitThrows) {
     gnn::Ensemble ens;
     const GraphTensors g = tiny_tensors();
-    EXPECT_THROW(ens.predict(g), std::logic_error);
+    EXPECT_THROW(ens.predict_stats(g), std::logic_error);
 }

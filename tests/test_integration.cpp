@@ -9,6 +9,7 @@
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
 #include "dse/explorer.hpp"
+#include "estimate_one.hpp"
 #include "fpga/vivado_like.hpp"
 #include "util/stats.hpp"
 
@@ -46,9 +47,12 @@ TEST(Integration, TrainedModelSurvivesSaveLoadAcrossInstances) {
     fresh.load(path);
     std::remove(path.c_str());
 
-    for (const auto& s : shared_suite()[3].samples)
-        EXPECT_FLOAT_EQ(static_cast<float>(fresh.estimate(s)),
-                        static_cast<float>(trainer.estimate(s)));
+    const core::SamplePool test = dataset::pool_of(shared_suite()[3]);
+    const std::vector<core::Estimate> want = trainer.estimate_batch(test);
+    const std::vector<core::Estimate> got = fresh.estimate_batch(test);
+    for (std::size_t i = 0; i < test.size(); ++i)
+        EXPECT_FLOAT_EQ(static_cast<float>(got[i].watts),
+                        static_cast<float>(want[i].watts));
 }
 
 TEST(Integration, TrainingIsDeterministic) {
@@ -60,7 +64,7 @@ TEST(Integration, TrainingIsDeterministic) {
         opts.seed = 5;
         core::PowerGear pg(opts);
         pg.fit(dataset::pool_except(shared_suite(), 0));
-        return pg.estimate(shared_suite()[0].samples.front());
+        return test::estimate_one(pg, shared_suite()[0].samples.front());
     };
     EXPECT_DOUBLE_EQ(run(), run());
 }
@@ -99,13 +103,15 @@ TEST(Integration, DseWithTrainedPredictorBeatsRandomSampling) {
     core::PowerGear pg(opts);
     pg.fit(dataset::pool_except(suite, 0));
 
+    const std::vector<core::Estimate> ests =
+        pg.estimate_batch(dataset::pool_of(suite[0]));
     std::vector<dse::Point> truth, predicted, anti;
     for (int i = 0; i < suite[0].size(); ++i) {
         const auto& s = suite[0].samples[static_cast<std::size_t>(i)];
         truth.push_back({static_cast<double>(s.latency_cycles),
                          s.dynamic_power_w, i});
         predicted.push_back({static_cast<double>(s.latency_cycles),
-                             pg.estimate(s), i});
+                             ests[static_cast<std::size_t>(i)].watts, i});
         // Adversarial predictor: inverted power ranking.
         anti.push_back({static_cast<double>(s.latency_cycles),
                         1.0 / (s.dynamic_power_w + 1e-6), i});

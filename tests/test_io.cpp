@@ -263,8 +263,11 @@ TEST(ArtifactStages, EnsembleSaveLoadIsBitExact) {
     core::PowerGear pg2(o);
     pg2.load(tmp.file("m.art"));
     EXPECT_EQ(pg2.num_members(), pg.num_members());
-    for (const dataset::Sample& s : suite[1].samples)
-        EXPECT_EQ(pg.estimate(s), pg2.estimate(s)); // bit-exact weights
+    const core::SamplePool test = dataset::pool_of(suite[1]);
+    const std::vector<core::Estimate> want = pg.estimate_batch(test);
+    const std::vector<core::Estimate> got = pg2.estimate_batch(test);
+    for (std::size_t i = 0; i < test.size(); ++i)
+        EXPECT_EQ(got[i].watts, want[i].watts); // bit-exact weights
 
     expect_throw_containing(
         [&] { io::load_ensemble_file(tmp.file("missing.art")); },
@@ -381,8 +384,11 @@ TEST(PipelineCache, FitCachedRestoresIdenticalWeights) {
     EXPECT_FALSE(first.fit_cached(dataset::pool_except(suite, 1), cache));
     core::PowerGear second(o);
     EXPECT_TRUE(second.fit_cached(dataset::pool_except(suite, 1), cache));
-    for (const dataset::Sample& s : suite[1].samples)
-        EXPECT_EQ(first.estimate(s), second.estimate(s));
+    const core::SamplePool test = dataset::pool_of(suite[1]);
+    const std::vector<core::Estimate> want = first.estimate_batch(test);
+    const std::vector<core::Estimate> got = second.estimate_batch(test);
+    for (std::size_t i = 0; i < test.size(); ++i)
+        EXPECT_EQ(got[i].watts, want[i].watts);
 
     // Any option change re-keys: no stale hit.
     core::PowerGear::Options o2 = o;

@@ -1,6 +1,7 @@
 // IR construction, verification and printing tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -11,6 +12,12 @@
 using namespace powergear::ir;
 
 namespace {
+
+int count_opcode(const Function& f, Opcode op) {
+    return static_cast<int>(std::count_if(
+        f.instrs.begin(), f.instrs.end(),
+        [op](const Instr& in) { return in.op == op; }));
+}
 
 Function tiny_loop_kernel() {
     Builder b("tiny");
@@ -33,9 +40,9 @@ TEST(Builder, EmitsVerifiableFunction) {
     EXPECT_TRUE(r.ok) << r.message;
     EXPECT_EQ(f.loops.size(), 1u);
     EXPECT_EQ(f.loop(0).trip_count, 8);
-    EXPECT_EQ(f.count_opcode(Opcode::Load), 1);
-    EXPECT_EQ(f.count_opcode(Opcode::Store), 1);
-    EXPECT_EQ(f.count_opcode(Opcode::GetElementPtr), 2);
+    EXPECT_EQ(count_opcode(f, Opcode::Load), 1);
+    EXPECT_EQ(count_opcode(f, Opcode::Store), 1);
+    EXPECT_EQ(count_opcode(f, Opcode::GetElementPtr), 2);
 }
 
 TEST(Builder, UnclosedLoopThrows) {
@@ -71,8 +78,11 @@ TEST(Builder, IndvarAtReachesOuterLoops) {
     b.end_loop();
     const Function f = b.build();
     EXPECT_TRUE(verify(f).ok);
-    EXPECT_EQ(f.loop_depth(1), 2);
-    EXPECT_EQ(f.total_iterations(1), 16);
+    // The inner loop nests directly in the top-level one: depth 2, 4 x 4
+    // iterations.
+    EXPECT_EQ(f.loop(1).parent, 0);
+    EXPECT_EQ(f.loop(0).parent, -1);
+    EXPECT_EQ(f.loop(0).trip_count * f.loop(1).trip_count, 16);
 }
 
 TEST(Builder, ScalarRegisterRoundTrip) {
@@ -86,7 +96,7 @@ TEST(Builder, ScalarRegisterRoundTrip) {
     EXPECT_TRUE(f.arrays[0].is_register());
     EXPECT_EQ(f.arrays[0].num_elements(), 1);
     // Internal storage gets an Alloca marker.
-    EXPECT_EQ(f.count_opcode(Opcode::Alloca), 1);
+    EXPECT_EQ(count_opcode(f, Opcode::Alloca), 1);
 }
 
 TEST(Verifier, CatchesCorruptedOperand) {

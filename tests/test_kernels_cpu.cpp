@@ -98,10 +98,7 @@ std::vector<Shape> parity_shapes() {
 /// driven exactly like a compiled table.
 const BlockedOps kDispatched = {
     .matmul = matmul,
-    .matmul_acc = matmul_acc,
-    .matmul_tn = matmul_tn,
     .matmul_tn_acc = matmul_tn_acc,
-    .matmul_nt = matmul_nt,
     .matmul_nt_acc = matmul_nt_acc,
     .gather_matmul = gather_matmul,
     .gather_matmul_tn_acc = gather_matmul_tn_acc,
@@ -116,15 +113,13 @@ const BlockedOps kDispatched = {
     .vacc = vacc,
     .segment_sum = segment_sum,
     .segment_sum_backward = segment_sum_backward,
-    .segment_mean = segment_mean,
-    .segment_mean_backward = segment_mean_backward,
 };
 
 /// Call the kernels of `o` on fixed random inputs and return every output.
 /// Outputs start nonzero so the accumulate (+=) forms are visible.
 /// `fma_free_only` keeps to the kernels without multiply-adds — the
-/// elementwise epilogues, the segment forwards and segment_sum_backward —
-/// whose results kernels_cpu_isa.hpp promises are identical in every table.
+/// elementwise epilogues and the segment sums — whose results
+/// kernels_cpu_isa.hpp promises are identical in every table.
 std::vector<std::vector<float>> exercise(const BlockedOps& o,
                                          bool fma_free_only) {
     Rng rng(3);
@@ -163,16 +158,11 @@ std::vector<std::vector<float>> exercise(const BlockedOps& o,
     o.vadd(mn, bm.data(), y, out(mn));
     o.vacc(mn, bm.data(), out(mn));
     o.segment_sum(m, n, bm.data(), seg.data(), segs, out(sn));
-    o.segment_mean(m, n, bm.data(), seg.data(), segs, out(sn));
     o.segment_sum_backward(m, k, bt.data(), seg.data(), out(mk));
     if (fma_free_only) return outs;
 
-    o.segment_mean_backward(m, k, bt.data(), seg.data(), segs, out(mk));
     o.matmul(m, k, n, a.data(), b.data(), out(mn));
-    o.matmul_acc(m, k, n, a.data(), b.data(), out(mn));
-    o.matmul_tn(m, k, n, a.data(), bm.data(), out(kn));
     o.matmul_tn_acc(m, k, n, a.data(), bm.data(), out(kn));
-    o.matmul_nt(m, k, n, a.data(), bt.data(), out(mn));
     o.matmul_nt_acc(m, k, n, a.data(), bt.data(), out(mn));
     o.gather_matmul(m, k, n, a.data(), idx.data(), b.data(), out(mn));
     o.gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), bm.data(), out(kn));
@@ -191,8 +181,8 @@ TEST(KernelsCpu, DispatchMatchesCpuidPickedTableBitExactly) {
 }
 
 // kernels_cpu_isa.hpp promises that the kernels without multiply-adds give
-// identical results in both translation units (only the matmuls and
-// segment_mean_backward may FMA-contract). Hold the two tables to it.
+// identical results in both translation units (only the matmuls may
+// FMA-contract). Hold the two tables to it.
 TEST(KernelsCpu, IsaTablesAgreeBitExactlyOnEpiloguesAndSegmentKernels) {
     const std::vector<IsaTable> tables = compiled_tables();
     if (tables.size() < 2)
@@ -220,6 +210,9 @@ TEST(KernelsCpu, MatmulParityOverRandomShapes) {
     }
 }
 
+// The transposed products exist only in accumulate form (the backward
+// pass), so their parity runs start both outputs from the same nonzero
+// values.
 TEST(KernelsCpu, MatmulTnParityOverRandomShapes) {
     for (const IsaTable& t : compiled_tables()) {
         Rng rng(43);
@@ -228,10 +221,11 @@ TEST(KernelsCpu, MatmulTnParityOverRandomShapes) {
                 random_values(rng, static_cast<std::size_t>(s.m) * s.k);
             const auto b =
                 random_values(rng, static_cast<std::size_t>(s.m) * s.n);
-            std::vector<float> want(static_cast<std::size_t>(s.k) * s.n, 7.0f);
-            std::vector<float> got(want.size(), -7.0f);
-            ref::matmul_tn(s.m, s.k, s.n, a.data(), b.data(), want.data());
-            t.ops->matmul_tn(s.m, s.k, s.n, a.data(), b.data(), got.data());
+            std::vector<float> want(static_cast<std::size_t>(s.k) * s.n, 0.5f);
+            std::vector<float> got(want);
+            ref::matmul_tn_acc(s.m, s.k, s.n, a.data(), b.data(), want.data());
+            t.ops->matmul_tn_acc(s.m, s.k, s.n, a.data(), b.data(),
+                                 got.data());
             expect_close(want, got, std::string("matmul_tn/") + t.name, s.m,
                          s.k, s.n);
         }
@@ -246,10 +240,11 @@ TEST(KernelsCpu, MatmulNtParityOverRandomShapes) {
                 random_values(rng, static_cast<std::size_t>(s.m) * s.k);
             const auto b =
                 random_values(rng, static_cast<std::size_t>(s.n) * s.k);
-            std::vector<float> want(static_cast<std::size_t>(s.m) * s.n, 7.0f);
-            std::vector<float> got(want.size(), -7.0f);
-            ref::matmul_nt(s.m, s.k, s.n, a.data(), b.data(), want.data());
-            t.ops->matmul_nt(s.m, s.k, s.n, a.data(), b.data(), got.data());
+            std::vector<float> want(static_cast<std::size_t>(s.m) * s.n, 0.5f);
+            std::vector<float> got(want);
+            ref::matmul_nt_acc(s.m, s.k, s.n, a.data(), b.data(), want.data());
+            t.ops->matmul_nt_acc(s.m, s.k, s.n, a.data(), b.data(),
+                                 got.data());
             expect_close(want, got, std::string("matmul_nt/") + t.name, s.m,
                          s.k, s.n);
         }
@@ -290,21 +285,23 @@ TEST(KernelsCpu, AccumulateVariantsParity) {
     const auto idx = random_indices(rng, static_cast<std::size_t>(m), m);
 
     // The oracle and a table fill the same slots through the same-shaped
-    // calls; `acc` starts nonzero so the accumulate contract is visible.
+    // calls; outputs start nonzero so the accumulate contract is visible.
     struct AccOps {
-        decltype(&ref::matmul_acc) matmul_acc, matmul_tn_acc, matmul_nt_acc;
+        decltype(&ref::matmul_tn_acc) matmul_tn_acc, matmul_nt_acc;
         decltype(&ref::gather_matmul_tn_acc) gather_matmul_tn_acc;
         decltype(&ref::scatter_matmul_nt_acc) scatter_matmul_nt_acc;
     };
     auto run = [&](const AccOps& o) {
-        std::vector<float> acc(static_cast<std::size_t>(m) * n);
-        std::vector<float> tn(static_cast<std::size_t>(k) * n);
-        std::vector<float> nt(static_cast<std::size_t>(m) * k);
-        std::vector<float> gtn(static_cast<std::size_t>(k) * n);
-        std::vector<float> snt(static_cast<std::size_t>(m) * k);
-        for (std::size_t i = 0; i < acc.size(); ++i)
-            acc[i] = 0.25f * static_cast<float>(i % 7);
-        o.matmul_acc(m, k, n, a.data(), b.data(), acc.data());
+        auto start = [](std::size_t len) {
+            std::vector<float> v(len);
+            for (std::size_t i = 0; i < len; ++i)
+                v[i] = 0.25f * static_cast<float>(i % 7);
+            return v;
+        };
+        std::vector<float> tn = start(static_cast<std::size_t>(k) * n);
+        std::vector<float> nt = start(static_cast<std::size_t>(m) * k);
+        std::vector<float> gtn = start(static_cast<std::size_t>(k) * n);
+        std::vector<float> snt = start(static_cast<std::size_t>(m) * k);
         o.matmul_tn_acc(m, k, n, a.data(), g.data(), tn.data());
         o.matmul_nt_acc(m, n, k, g.data(), b.data(), nt.data());
         o.gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), g.data(),
@@ -312,17 +309,17 @@ TEST(KernelsCpu, AccumulateVariantsParity) {
         o.scatter_matmul_nt_acc(m, k, n, g.data(), b.data(), idx.data(),
                                 snt.data());
         std::vector<float> all;
-        for (const auto* v : {&acc, &tn, &nt, &gtn, &snt})
+        for (const auto* v : {&tn, &nt, &gtn, &snt})
             all.insert(all.end(), v->begin(), v->end());
         return all;
     };
     const std::vector<float> want =
-        run({ref::matmul_acc, ref::matmul_tn_acc, ref::matmul_nt_acc,
-             ref::gather_matmul_tn_acc, ref::scatter_matmul_nt_acc});
+        run({ref::matmul_tn_acc, ref::matmul_nt_acc, ref::gather_matmul_tn_acc,
+             ref::scatter_matmul_nt_acc});
     for (const IsaTable& t : compiled_tables())
         expect_close(want,
-                     run({t.ops->matmul_acc, t.ops->matmul_tn_acc,
-                          t.ops->matmul_nt_acc, t.ops->gather_matmul_tn_acc,
+                     run({t.ops->matmul_tn_acc, t.ops->matmul_nt_acc,
+                          t.ops->gather_matmul_tn_acc,
                           t.ops->scatter_matmul_nt_acc}),
                      std::string("acc-kernels/") + t.name, m, k, n);
 }
@@ -384,9 +381,9 @@ TEST(KernelsCpu, JobsCountDoesNotChangeResultsPerBackend) {
             float* p = out.data();
             matmul(m, k, n, a.data(), b.data(), p);
             p += static_cast<std::size_t>(m) * n;
-            matmul_tn(m, k, n, a.data(), bm.data(), p);
+            matmul_tn_acc(m, k, n, a.data(), bm.data(), p);
             p += static_cast<std::size_t>(k) * n;
-            matmul_nt(m, k, n, a.data(), bt.data(), p);
+            matmul_nt_acc(m, k, n, a.data(), bt.data(), p);
             p += static_cast<std::size_t>(m) * n;
             gather_matmul(m, k, n, a.data(), idx.data(), b.data(), p);
             outs[task] = std::move(out);
@@ -430,21 +427,13 @@ TEST(KernelsCpu, SegmentSumMatchesHandComputedOracle) {
                                   -1, -2, -3,  //
                                   10, 20, 30};
     const std::vector<int> seg = {0, 1, 0, 1, 0};
-    std::vector<float> sum(9, 99.0f);   // poisoned: must overwrite
-    std::vector<float> mean(9, -99.0f);
+    std::vector<float> sum(9, 99.0f); // poisoned: must overwrite
     ref::segment_sum(5, 3, x.data(), seg.data(), 3, sum.data());
-    ref::segment_mean(5, 3, x.data(), seg.data(), 3, mean.data());
     const std::vector<float> want_sum = {18, 30, 42, 3, 3, 3, 0, 0, 0};
     EXPECT_EQ(sum, want_sum);
-    for (int c = 0; c < 3; ++c) {
-        EXPECT_FLOAT_EQ(mean[static_cast<std::size_t>(c)], want_sum[c] / 3.0f);
-        EXPECT_FLOAT_EQ(mean[static_cast<std::size_t>(3 + c)],
-                        want_sum[3 + c] / 2.0f);
-        EXPECT_EQ(mean[static_cast<std::size_t>(6 + c)], 0.0f); // empty: exact
-    }
 }
 
-// The forwards contain no multiply-adds, so every ISA table must agree with
+// segment_sum contains no multiply-adds, so every ISA table must agree with
 // the reference oracle bit-for-bit — not just within 1e-5. Shapes include
 // rows=0, cols=0, single segment, and all-empty segments.
 TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
@@ -463,12 +452,6 @@ TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
             t.ops->segment_sum(rows, cols, x.data(), seg.data(), num_segs,
                                got.data());
             EXPECT_EQ(want, got) << t.name << " segment_sum rows=" << rows
-                                 << " cols=" << cols << " segs=" << num_segs;
-            ref::segment_mean(rows, cols, x.data(), seg.data(), num_segs,
-                              want.data());
-            t.ops->segment_mean(rows, cols, x.data(), seg.data(), num_segs,
-                                got.data());
-            EXPECT_EQ(want, got) << t.name << " segment_mean rows=" << rows
                                  << " cols=" << cols << " segs=" << num_segs;
         }
     }
@@ -489,32 +472,24 @@ TEST(KernelsCpu, SegmentSumSingleSegmentMatchesVaccOverRows) {
 }
 
 TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
-    // segment_sum_backward broadcasts g[seg[r]] into row r; the mean variant
-    // additionally scales by 1/count. Both accumulate (+=), preserving prior
-    // gradient contents. Checked for the reference oracle and every table.
+    // segment_sum_backward broadcasts g[seg[r]] into row r and accumulates
+    // (+=), preserving prior gradient contents. Checked for the reference
+    // oracle and every table.
     Rng rng(73);
     const int rows = 9, cols = 5, num_segs = 4;
     const auto seg = random_segments(rng, rows, num_segs);
     const auto g =
         random_values(rng, static_cast<std::size_t>(num_segs) * cols);
-    std::vector<int> count(static_cast<std::size_t>(num_segs), 0);
-    for (int s : seg) ++count[static_cast<std::size_t>(s)];
     struct Impl {
         std::string name;
         decltype(&ref::segment_sum_backward) sum_backward;
-        decltype(&ref::segment_mean_backward) mean_backward;
     };
-    std::vector<Impl> impls = {
-        {"ref", ref::segment_sum_backward, ref::segment_mean_backward}};
+    std::vector<Impl> impls = {{"ref", ref::segment_sum_backward}};
     for (const IsaTable& t : compiled_tables())
-        impls.push_back({t.name, t.ops->segment_sum_backward,
-                         t.ops->segment_mean_backward});
+        impls.push_back({t.name, t.ops->segment_sum_backward});
     for (const Impl& be : impls) {
         std::vector<float> dsum(static_cast<std::size_t>(rows) * cols, 0.5f);
-        std::vector<float> dmean(dsum);
         be.sum_backward(rows, cols, g.data(), seg.data(), dsum.data());
-        be.mean_backward(rows, cols, g.data(), seg.data(), num_segs,
-                         dmean.data());
         for (int r = 0; r < rows; ++r)
             for (int c = 0; c < cols; ++c) {
                 const std::size_t i = static_cast<std::size_t>(r) * cols + c;
@@ -524,14 +499,6 @@ TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
                     static_cast<std::size_t>(c);
                 EXPECT_FLOAT_EQ(dsum[i], 0.5f + g[gi])
                     << be.name << " sum r=" << r << " c=" << c;
-                const float inv =
-                    1.0f /
-                    static_cast<float>(count[static_cast<std::size_t>(
-                        seg[static_cast<std::size_t>(r)])]);
-                const float want = 0.5f + g[gi] * inv;
-                const float tol = 1e-5f * std::max(1.0f, std::abs(want));
-                EXPECT_NEAR(dmean[i], want, tol)
-                    << be.name << " mean r=" << r << " c=" << c;
             }
     }
 }
@@ -546,13 +513,15 @@ TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
             const auto x =
                 random_values(rng, static_cast<std::size_t>(rows) * cols);
             const auto seg = random_segments(rng, rows, num_segs);
-            std::vector<float> out(2 * static_cast<std::size_t>(num_segs) *
-                                   cols);
+            // The segment sums, then their rows broadcast back as a
+            // gradient: forward and backward in one output.
+            const std::size_t sums = static_cast<std::size_t>(num_segs) * cols;
+            std::vector<float> out(sums +
+                                   static_cast<std::size_t>(rows) * cols);
             segment_sum(rows, cols, x.data(), seg.data(), num_segs,
                         out.data());
-            segment_mean(rows, cols, x.data(), seg.data(), num_segs,
-                         out.data() +
-                             static_cast<std::size_t>(num_segs) * cols);
+            segment_sum_backward(rows, cols, out.data(), seg.data(),
+                                 out.data() + sums);
             outs[task] = std::move(out);
         });
         return outs;

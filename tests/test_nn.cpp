@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <functional>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "nn/autograd.hpp"
+#include "nn/kernels_cpu.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 
@@ -37,12 +41,20 @@ void check_gradient(Param& p,
     }
 }
 
+/// Segment ids putting all of `rows` rows in segment 0. The storage is
+/// static, so the span a tape borrows outlives any later backward().
+std::span<const int> one_segment(int rows) {
+    static const std::vector<int> zeros(4096, 0);
+    if (rows < 0 || static_cast<std::size_t>(rows) > zeros.size())
+        throw std::length_error("one_segment: too many rows");
+    return std::span<const int>(zeros).first(static_cast<std::size_t>(rows));
+}
+
 /// Sum all entries of a node to a scalar via a one-segment segment_sum + a
 /// fixed column mix, so every gradient check also covers segment_sum's
 /// backward.
 int to_scalar(Tape& t, int x) {
-    std::vector<int> one_segment(static_cast<std::size_t>(t.value(x).rows()), 0);
-    int row = t.segment_sum(x, std::move(one_segment), 1); // (1, d)
+    int row = t.segment_sum(x, one_segment(t.value(x).rows()), 1); // (1, d)
     Tensor mix(t.value(row).cols(), 1);
     for (int i = 0; i < mix.rows(); ++i) mix.at(i, 0) = 0.3f + 0.1f * i;
     return t.matmul(row, t.input(mix));
@@ -53,7 +65,8 @@ int to_scalar(Tape& t, int x) {
 TEST(Tensor, MatmulMatchesManual) {
     const Tensor a = Tensor::from(2, 3, {1, 2, 3, 4, 5, 6});
     const Tensor b = Tensor::from(3, 2, {7, 8, 9, 10, 11, 12});
-    const Tensor c = matmul(a, b);
+    Tensor c(2, 2);
+    kernels::matmul(2, 3, 2, a.data(), b.data(), c.data());
     EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
     EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
     EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
@@ -64,21 +77,19 @@ TEST(Tensor, TransposedVariantsAgree) {
     Rng rng(5);
     const Tensor a = Tensor::xavier(4, 3, rng);
     const Tensor b = Tensor::xavier(4, 5, rng);
-    // matmul_tn(a, b) == a^T b
-    const Tensor tn = matmul_tn(a, b);
-    ASSERT_EQ(tn.rows(), 3);
-    ASSERT_EQ(tn.cols(), 5);
+    // matmul_tn_acc(a, b) accumulates a^T b into zeros
+    Tensor tn(3, 5);
+    kernels::matmul_tn_acc(4, 3, 5, a.data(), b.data(), tn.data());
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 5; ++j) {
             float expect = 0.0f;
             for (int k = 0; k < 4; ++k) expect += a.at(k, i) * b.at(k, j);
             EXPECT_NEAR(tn.at(i, j), expect, 1e-5f);
         }
-    // matmul_nt(a, c) == a c^T
+    // matmul_nt_acc(a, c) accumulates a c^T into zeros
     const Tensor c = Tensor::xavier(6, 3, rng);
-    const Tensor nt = matmul_nt(a, c);
-    ASSERT_EQ(nt.rows(), 4);
-    ASSERT_EQ(nt.cols(), 6);
+    Tensor nt(4, 6);
+    kernels::matmul_nt_acc(4, 3, 6, a.data(), c.data(), nt.data());
     for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 6; ++j) {
             float expect = 0.0f;
@@ -88,7 +99,9 @@ TEST(Tensor, TransposedVariantsAgree) {
 }
 
 TEST(Tensor, ShapeMismatchThrows) {
-    EXPECT_THROW(matmul(Tensor(2, 3), Tensor(2, 3)), std::invalid_argument);
+    Tape t;
+    EXPECT_THROW(t.matmul(t.input(Tensor(2, 3)), t.input(Tensor(2, 3))),
+                 std::invalid_argument);
     Tensor a(2, 2);
     EXPECT_THROW(a.add_inplace(Tensor(3, 2)), std::invalid_argument);
     EXPECT_THROW(Tensor::from(2, 2, {1.0f}), std::invalid_argument);
@@ -237,7 +250,8 @@ TEST(Optimizer, AdamSolvesLinearRegression) {
     Rng rng(31);
     const Tensor w_true = Tensor::from(3, 1, {1.5f, -2.0f, 0.5f});
     const Tensor x = Tensor::xavier(64, 3, rng);
-    const Tensor y = matmul(x, w_true);
+    Tensor y(64, 1);
+    kernels::matmul(64, 3, 1, x.data(), w_true.data(), y.data());
     std::vector<float> targets;
     for (int r = 0; r < y.rows(); ++r) targets.push_back(y.at(r, 0) + 10.0f);
 

@@ -209,8 +209,22 @@ dataset::GeneratorOptions generator_options(const Parsed& a) {
 }
 
 dataset::PowerKind kind_of(const Parsed& a) {
-    return a.get("kind", "total") == "dynamic" ? dataset::PowerKind::Dynamic
-                                               : dataset::PowerKind::Total;
+    const std::string kind = a.get("kind", "total");
+    if (kind == "total") return dataset::PowerKind::Total;
+    if (kind == "dynamic") return dataset::PowerKind::Dynamic;
+    throw UsageError("--kind must be 'total' or 'dynamic' (got '" + kind +
+                     "')");
+}
+
+/// Range checks for the options several commands share. Run before any
+/// command body, so a bad value exits 2 before datasets are generated
+/// instead of printing an empty or mislabelled result.
+void check_shared_values(const Parsed& a) {
+    if (a.get_int("samples", 24) < 1)
+        throw UsageError("--samples must be >= 1");
+    if (a.get_int("size", 16) < 2) throw UsageError("--size must be >= 2");
+    if (a.get_int("points", 6) < 1) throw UsageError("--points must be >= 1");
+    kind_of(a);
 }
 
 int cmd_gen(const Parsed& a) {
@@ -248,6 +262,17 @@ int cmd_train(const Parsed& a) {
         std::fprintf(stderr, "error: train needs --kernels and --out\n");
         return 1;
     }
+    core::PowerGear::Options opts = core::PowerGear::Options::from_bench_scale(
+        util::bench_scale(), kind_of(a));
+    opts.epochs = a.get_int("epochs", opts.epochs);
+    opts.folds = a.get_int("folds", opts.folds);
+    opts.seeds = a.get_int("seeds", opts.seeds);
+    opts.hidden = a.get_int("hidden", opts.hidden);
+    // fit() would reject these too, but only after every dataset exists.
+    const analysis::Report config = opts.validate();
+    if (!config.clean())
+        throw UsageError("invalid training options\n" + config.render_text());
+
     std::vector<dataset::Dataset> suite;
     for (const std::string& k : kernels) {
         std::printf("generating %s...\n", k.c_str());
@@ -257,13 +282,6 @@ int cmd_train(const Parsed& a) {
     for (const auto& ds : suite)
         for (const auto& s : ds.samples) ptrs.push_back(&s);
     const core::SamplePool pool = core::SamplePool::adopt(std::move(ptrs));
-
-    core::PowerGear::Options opts = core::PowerGear::Options::from_bench_scale(
-        util::bench_scale(), kind_of(a));
-    opts.epochs = a.get_int("epochs", opts.epochs);
-    opts.folds = a.get_int("folds", opts.folds);
-    opts.seeds = a.get_int("seeds", opts.seeds);
-    opts.hidden = a.get_int("hidden", opts.hidden);
 
     std::printf("training on %zu samples (%s power, %d folds x %d seeds)...\n",
                 pool.size(),
@@ -713,6 +731,7 @@ int main(int argc, char** argv) {
         }
         if (args.command() != "lint" && args.command() != "cache")
             apply_jobs(args);
+        check_shared_values(args);
         const std::string metrics = metrics_path(args);
         metrics_begin(metrics);
         int rc = 0;
