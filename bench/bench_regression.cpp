@@ -1,17 +1,14 @@
 // Perf-regression harness: hand-timed micro-kernel + estimate-batch
-// benchmarks with a machine-readable trajectory.
+// benchmarks with machine-readable results.
 //
-//   bench_regression [--reps N] [--out FILE] [--baseline FILE]
-//                    [--tolerance F] [--jobs N] [--filter SUBSTR]
+//   bench_regression [--reps N] [--out FILE] [--jobs N] [--filter SUBSTR]
 //
 // Runs each benchmark `reps` times (after one warmup + auto-calibration of
-// an inner iteration count so every timed run covers >= ~20 ms), writes the
-// results as "powergear-bench-v1" JSON — BENCH_<date>.json by default, the
-// schema scripts/bench_gate.py and scripts/update_experiments.py consume —
-// and, when --baseline is given, compares best-of-reps times against the
-// committed baseline: any benchmark slower than (1 + tolerance) x baseline
-// fails the run with exit code 1. Missing benchmarks (renames, deletions)
-// fail too, so the gate cannot rot silently.
+// an inner iteration count so every timed run covers >= ~20 ms) and writes
+// the results as "powergear-bench-v1" JSON — BENCH_<date>.json by default,
+// the schema scripts/bench_gate.py consumes. The gate runs this binary from
+// two builds in alternating pairs and compares them; this binary only
+// measures.
 //
 // Timing uses best-of-reps per-iteration wall time: the minimum is the run
 // least disturbed by the machine, which is the stable statistic to gate on
@@ -245,62 +242,11 @@ obs::JsonValue results_to_json(const std::vector<BenchResult>& results,
     return root;
 }
 
-std::string read_file(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (!f) throw std::runtime_error("cannot open " + path);
-    std::string out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
-
-/// Gate current results against a committed baseline. Returns the number of
-/// regressions (new benchmarks are reported but tolerated; missing ones are
-/// regressions).
-int compare_to_baseline(const std::vector<BenchResult>& results,
-                        const std::string& baseline_path, double tolerance) {
-    const obs::JsonValue base = obs::JsonValue::parse(read_file(baseline_path));
-    if (base.at("schema").as_string() != "powergear-bench-v1")
-        throw std::runtime_error("baseline: unexpected schema");
-    int regressions = 0;
-    std::printf("\nregression gate vs %s (tolerance %.0f%%):\n",
-                baseline_path.c_str(), tolerance * 100.0);
-    std::printf("  %-22s %12s %12s %8s  %s\n", "benchmark", "baseline_ms",
-                "current_ms", "ratio", "verdict");
-    for (const auto& [name, b] : base.at("benchmarks").as_object()) {
-        const double base_ms = b.at("best_ms").as_number();
-        const auto it =
-            std::find_if(results.begin(), results.end(),
-                         [&](const BenchResult& r) { return r.name == name; });
-        if (it == results.end()) {
-            std::printf("  %-22s %12.4f %12s %8s  MISSING\n", name.c_str(),
-                        base_ms, "-", "-");
-            ++regressions;
-            continue;
-        }
-        const double cur_ms = it->best_ms();
-        const double ratio = cur_ms / base_ms;
-        const bool slow = ratio > 1.0 + tolerance;
-        if (slow) ++regressions;
-        std::printf("  %-22s %12.4f %12.4f %8.3f  %s\n", name.c_str(), base_ms,
-                    cur_ms, ratio, slow ? "REGRESSION" : "ok");
-    }
-    for (const BenchResult& r : results) {
-        if (!base.at("benchmarks").get(r.name))
-            std::printf("  %-22s %12s %12.4f %8s  new (no baseline)\n",
-                        r.name.c_str(), "-", r.best_ms(), "-");
-    }
-    return regressions;
-}
-
 int usage(const char* argv0) {
     std::fprintf(
         stderr,
-        "usage: %s [--reps N] [--out FILE] [--baseline FILE]\n"
-        "          [--tolerance F] [--jobs N] [--filter SUBSTR]\n"
-        "exit codes: 0 ok, 1 regression vs baseline, 2 bad usage\n",
+        "usage: %s [--reps N] [--out FILE] [--jobs N] [--filter SUBSTR]\n"
+        "exit codes: 0 ok, 2 bad usage or error\n",
         argv0);
     return 2;
 }
@@ -310,20 +256,17 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
     int reps = 5;
     int jobs = 1;
-    double tolerance = 0.10;
-    std::string out_path, baseline_path, filter;
+    std::string out_path, filter;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_next = i + 1 < argc;
         if (arg == "--reps" && has_next) reps = std::atoi(argv[++i]);
         else if (arg == "--out" && has_next) out_path = argv[++i];
-        else if (arg == "--baseline" && has_next) baseline_path = argv[++i];
-        else if (arg == "--tolerance" && has_next) tolerance = std::atof(argv[++i]);
         else if (arg == "--jobs" && has_next) jobs = std::atoi(argv[++i]);
         else if (arg == "--filter" && has_next) filter = argv[++i];
         else return usage(argv[0]);
     }
-    if (reps < 1 || jobs < 1 || tolerance < 0.0) return usage(argv[0]);
+    if (reps < 1 || jobs < 1) return usage(argv[0]);
     if (out_path.empty()) out_path = "BENCH_" + today() + ".json";
     util::set_parallel_jobs(jobs);
 
@@ -593,17 +536,6 @@ int main(int argc, char** argv) {
         std::fwrite(body.data(), 1, body.size(), f);
         std::fclose(f);
         std::printf("[saved] %s\n", out_path.c_str());
-
-        if (!baseline_path.empty()) {
-            const int regressions =
-                compare_to_baseline(results, baseline_path, tolerance);
-            if (regressions > 0) {
-                std::printf("bench_regression: %d benchmark(s) regressed\n",
-                            regressions);
-                return 1;
-            }
-            std::printf("bench_regression: no regressions\n");
-        }
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -11,7 +11,9 @@
 # (paper + extended; must report zero diagnostics, exit 0), a serve-daemon
 # load-generator leg (warm path must hold >= 20x over the cold process
 # path), an install-tree consumer build (the facade header + exported
-# CMake target must be the whole external surface), and the bench gate.
+# CMake target must be the whole external surface), and the bench gate: a
+# same-window A/B of bench_regression against the branch point from main
+# (scripts/bench_gate.py, 10% bound).
 #
 # Each flavor is built by scripts/build_one.sh — the same entry point
 # .github/workflows/ci.yml uses, so local and CI builds cannot drift apart.
@@ -37,11 +39,11 @@ if ! command -v c++ >/dev/null 2>&1 && ! command -v g++ >/dev/null 2>&1 &&
 fi
 # The sanitizer builds need compiler+runtime support; probe with a 1-line TU
 # so a missing libasan fails here with one readable message.
-probe_dir=$(mktemp -d)
-trap 'rm -rf "$probe_dir"' EXIT
-echo 'int main(){return 0;}' > "$probe_dir/probe.cpp"
+tmp_dir=$(mktemp -d)
+trap 'rm -rf "$tmp_dir"' EXIT
+echo 'int main(){return 0;}' > "$tmp_dir/probe.cpp"
 for flag in address undefined thread; do
-    if ! c++ -fsanitize=$flag "$probe_dir/probe.cpp" -o "$probe_dir/probe" \
+    if ! c++ -fsanitize=$flag "$tmp_dir/probe.cpp" -o "$tmp_dir/probe" \
             >/dev/null 2>&1; then
         echo "check.sh: error: compiler cannot link -fsanitize=$flag." >&2
         echo "  install the sanitizer runtimes (gcc: libasan/libubsan/libtsan," >&2
@@ -107,9 +109,15 @@ cmake --build "$consumer/build" -j "$JOBS" > /dev/null
 "$consumer/build/consumer"
 rm -rf "$stage" "$consumer"
 
-echo "=== bench gate: no perf regression vs bench/baseline.json ==="
-python3 scripts/bench_gate.py --baseline bench/baseline.json \
-    --run build-check-release/bench/bench_regression --reps 3 \
-    --out BENCH_check.json
+echo "=== bench gate: same-window A/B against the reference build ==="
+# The reference is the branch point from main, or the parent commit when
+# HEAD is on main. Both sides run in the same window, so the host's load
+# hits them alike; the 10% bound applies to the median of 10 pairs.
+head_sha=$(git rev-parse HEAD)
+ref_sha=$(git merge-base HEAD main 2>/dev/null || echo "$head_sha")
+[[ "$ref_sha" != "$head_sha" ]] || ref_sha=$(git rev-parse HEAD~1)
+scripts/build_ref.sh "$ref_sha" "$tmp_dir/ref"
+python3 scripts/bench_gate.py "$tmp_dir/ref/build/bench/bench_regression" \
+    build-check-release/bench/bench_regression
 
 echo "check.sh: release + asan + ubsan + tsan + jobs matrix + lint + serve + consumer + bench gate all green"

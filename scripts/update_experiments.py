@@ -1,35 +1,12 @@
 #!/usr/bin/env python3
-"""Maintain the machine-generated sections of EXPERIMENTS.md.
+"""Refresh EXPERIMENTS.md's "## Recorded results" from a tee'd bench log.
 
-Two modes:
-
-  # Refresh "## Recorded results" from a tee'd bench-binary log
   python3 scripts/update_experiments.py [bench_output.txt]
-
-  # Append one row to the "## Perf trajectory" table from a
-  # powergear-bench-v1 result (bench_regression / bench_gate output)
-  python3 scripts/update_experiments.py --bench BENCH_2026-08-06.json
 """
-import json
-import re
 import sys
 
 DOC = "EXPERIMENTS.md"
 MARK = "## Recorded results"
-PERF_MARK = "## Perf trajectory"
-PERF_HEADER = [
-    PERF_MARK,
-    "",
-    "One row per recorded `bench_regression` run (best-of-reps ms; see",
-    "`bench/baseline.json` for the committed gate baseline).",
-    "",
-    "| date | jobs | estimate_batch ms | estimates/s | matmul128 ms "
-    "| graph_construction ms | ir_simulation ms | placement ms "
-    "| gen_warm_cache ms | serve_pipeline16 ms |",
-    "|------|------|-------------------|-------------|--------------"
-    "|-----------------------|------------------|--------------"
-    "|-------------------|---------------------|",
-]
 
 
 def extract_tables(text: str):
@@ -87,64 +64,8 @@ def update_recorded_results(bench_log: str) -> int:
     return 0
 
 
-def append_perf_row(bench_json: str) -> int:
-    try:
-        with open(bench_json) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot read {bench_json}: {e}")
-        return 1
-    if doc.get("schema") != "powergear-bench-v1":
-        print(f"{bench_json}: not a powergear-bench-v1 file")
-        return 1
-
-    b = doc["benchmarks"]
-
-    def best(name):
-        return f"{b[name]['best_ms']:.4f}" if name in b else "-"
-
-    est = b.get("estimate_batch", {})
-    throughput = (f"{est['throughput_per_s']:.0f}"
-                  if "throughput_per_s" in est else "-")
-    row = (f"| {doc.get('date', '?')} | {doc.get('jobs', '?')} "
-           f"| {best('estimate_batch')} | {throughput} | {best('matmul128')} "
-           f"| {best('graph_construction')} | {best('ir_simulation')} "
-           f"| {best('placement')} | {best('gen_warm_cache')} "
-           f"| {best('serve_pipeline16')} |")
-
-    with open(DOC) as f:
-        text = f.read()
-    if PERF_MARK in text:
-        # Append below the last row of the FIRST table after the marker
-        # (later sections hold their own tables; never spill into those).
-        head, _, tail = text.partition(PERF_MARK)
-        lines = (PERF_MARK + tail).splitlines()
-        last_row = None
-        for i, ln in enumerate(lines):
-            if ln.startswith("|"):
-                last_row = i
-            elif last_row is not None:
-                break
-        if last_row is None:
-            print(f"{DOC}: no table under {PERF_MARK!r}")
-            return 1
-        lines.insert(last_row + 1, row)
-        text = head + "\n".join(lines) + ("\n" if not tail.endswith("\n") else "")
-    else:
-        text = text.rstrip() + "\n\n" + "\n".join(PERF_HEADER + [row]) + "\n"
-    with open(DOC, "w") as f:
-        f.write(text)
-    print(f"appended perf row for {doc.get('date', '?')} to {DOC}")
-    return 0
-
-
 def main() -> int:
     args = sys.argv[1:]
-    if args and args[0] == "--bench":
-        if len(args) != 2:
-            print(__doc__)
-            return 2
-        return append_perf_row(args[1])
     return update_recorded_results(args[0] if args else "bench_output.txt")
 
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 
@@ -299,7 +298,7 @@ int Tape::scale(int x, float s) {
     });
 }
 
-int Tape::mape_loss_rows(int preds, const std::vector<float>& targets) {
+int Tape::mape_loss_rows(int preds, std::span<const float> targets) {
     const Tensor& pv = value(preds);
     if (pv.cols() != 1 || pv.rows() != static_cast<int>(targets.size()) ||
         targets.empty())
@@ -315,8 +314,7 @@ int Tape::mape_loss_rows(int preds, const std::vector<float>& targets) {
     }
     Tensor out = make(1, 1);
     out.at(0, 0) = static_cast<float>(loss / static_cast<double>(b));
-    auto ts = std::make_shared<const std::vector<float>>(targets);
-    return push(std::move(out), [preds, b, ts](Tape& t, int self) {
+    return push(std::move(out), [preds, b, targets](Tape& t, int self) {
         const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
         if (g.empty()) return;
         const float gs = g.at(0, 0) / static_cast<float>(b);
@@ -324,7 +322,7 @@ int Tape::mape_loss_rows(int preds, const std::vector<float>& targets) {
         Tensor& pg = t.grad_buf(preds);
         for (int i = 0; i < b; ++i) {
             const float p = pv.at(i, 0);
-            const float y = (*ts)[static_cast<std::size_t>(i)];
+            const float y = targets[static_cast<std::size_t>(i)];
             const float sign = p >= y ? 1.0f : -1.0f;
             pg.at(i, 0) += gs * sign / std::abs(y);
         }

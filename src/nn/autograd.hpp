@@ -92,8 +92,9 @@ public:
 
     /// Mean absolute percentage error over the B rows of one (B,1)
     /// prediction node (the batched readout). Returns a scalar (1,1) loss
-    /// node. Targets must be nonzero.
-    int mape_loss_rows(int preds, const std::vector<float>& targets);
+    /// node. Targets must be nonzero. Borrows targets with input_view's
+    /// lifetime contract (train_epoch's minibatch `ys` outlives backward()).
+    int mape_loss_rows(int preds, std::span<const float> targets);
 
     void backward(int node);
 

@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "obs/json.hpp"
 
@@ -28,19 +27,6 @@ JsonValue phase_to_json(const PhaseStats& st) {
     return p;
 }
 
-PhaseStats phase_from_json(const JsonValue& p) {
-    PhaseStats st;
-    st.calls = static_cast<std::uint64_t>(p.at("calls").as_number());
-    st.total_s = p.at("total_s").as_number();
-    st.p50_ms = p.at("p50_ms").as_number();
-    st.p95_ms = p.at("p95_ms").as_number();
-    st.max_ms = p.at("max_ms").as_number();
-    for (const auto& [name, v] : p.at("counters").as_object())
-        st.counters[name] = static_cast<std::uint64_t>(v.as_number());
-    // rates_per_s is derived output; recomputed on serialization.
-    return st;
-}
-
 } // namespace
 
 std::string Report::to_json() const {
@@ -52,19 +38,6 @@ std::string Report::to_json() const {
     for (const auto& [name, st] : phases) ph.set(name, phase_to_json(st));
     root.set("phases", std::move(ph));
     return root.dump(2);
-}
-
-Report Report::from_json(const std::string& text) {
-    const JsonValue root = JsonValue::parse(text);
-    const std::string schema = root.at("schema").as_string();
-    if (schema != "powergear-obs-v1")
-        throw std::runtime_error("obs::Report: unknown schema '" + schema + "'");
-    Report rep;
-    rep.wall_s = root.at("wall_s").as_number();
-    rep.jobs = static_cast<int>(root.at("jobs").as_number());
-    for (const auto& [name, p] : root.at("phases").as_object())
-        rep.phases[name] = phase_from_json(p);
-    return rep;
 }
 
 bool Report::write(const std::string& path) const {

@@ -50,11 +50,6 @@ struct Report {
     /// Serialize to the schema above (pretty-printed, canonical key order).
     std::string to_json() const;
 
-    /// Strict inverse of to_json (unknown phase keys are kept verbatim —
-    /// the schema is forward-extensible by adding phases). Throws
-    /// std::runtime_error on malformed input or schema mismatch.
-    static Report from_json(const std::string& text);
-
     /// to_json() + trailing newline written to `path`; false on I/O error.
     bool write(const std::string& path) const;
 };

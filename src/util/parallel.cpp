@@ -177,10 +177,4 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     if (err) std::rethrow_exception(err);
 }
 
-Rng task_rng(std::uint64_t seed, std::uint64_t task) {
-    // Double mix keeps neighbouring task streams uncorrelated even for
-    // adjacent seeds (hash_mix alone is a single splitmix64 round).
-    return Rng(hash_mix(hash_mix(seed, 0x706172616c6c656cull), task));
-}
-
 } // namespace powergear::util

@@ -6,8 +6,9 @@
 // CLI's --jobs flag). Determinism contract: parallel_for(n, fn) invokes
 // fn(i) exactly once for every i in [0, n) with no cross-task ordering
 // guarantee, so callers must make each task self-contained — writes go to
-// the task's own output slot and randomness comes from a per-task stream
-// (task_rng) derived from the caller's seed, never from a shared generator.
+// the task's own output slot and randomness comes from a per-task Rng
+// seeded from the caller's seed and the task index, never from a shared
+// generator.
 // Under that contract results are bit-identical for every job count,
 // which the determinism test suite (tests/test_parallel.cpp) locks in for
 // training, estimation and dataset generation.
@@ -19,11 +20,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace powergear::util {
 
@@ -49,10 +47,5 @@ std::vector<T> parallel_map(std::size_t n, Fn&& fn) {
     parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
 }
-
-/// Independent per-task RNG stream: deterministic in (seed, task) and
-/// uncorrelated across tasks, so stochastic parallel loops replay
-/// bit-for-bit at any job count.
-Rng task_rng(std::uint64_t seed, std::uint64_t task);
 
 } // namespace powergear::util

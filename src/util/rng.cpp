@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace powergear::util {
 
 namespace {
@@ -54,13 +52,6 @@ double Rng::next_double() {
 
 float Rng::next_float(float lo, float hi) {
     return lo + static_cast<float>(next_double()) * (hi - lo);
-}
-
-double Rng::next_gaussian() {
-    double u1 = next_double();
-    double u2 = next_double();
-    if (u1 < 1e-300) u1 = 1e-300;
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {

@@ -37,9 +37,6 @@ public:
     /// Uniform float in [lo, hi).
     float next_float(float lo, float hi);
 
-    /// Standard normal via Box-Muller (uncached; two uniforms per call).
-    double next_gaussian();
-
     /// Bernoulli draw with probability p of returning true.
     bool next_bool(double p = 0.5) { return next_double() < p; }
 

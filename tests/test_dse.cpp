@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <numbers>
 #include <set>
 
 #include "core/powergear.hpp"
@@ -235,10 +236,16 @@ TEST(Explorer, PerfectPredictorFindsExactFrontQuickly) {
 TEST(Explorer, BetterPredictorGivesLowerAdrs) {
     const auto truth = convex_cloud(200, 17);
     Rng rng(19);
+    auto gaussian = [&] { // Box-Muller: one standard normal per two uniforms
+        const double u1 = std::max(rng.next_double(), 1e-300);
+        const double u2 = rng.next_double();
+        return std::sqrt(-2.0 * std::log(u1)) *
+               std::cos(2.0 * std::numbers::pi * u2);
+    };
     auto noisy = [&](double sigma) {
         std::vector<Point> pred = truth;
         for (Point& p : pred)
-            p.power = std::max(0.01, p.power * (1.0 + sigma * rng.next_gaussian()));
+            p.power = std::max(0.01, p.power * (1.0 + sigma * gaussian()));
         return pred;
     };
     const auto slightly = noisy(0.05);

@@ -220,8 +220,9 @@ TEST(Autograd, MapeLossRejectsZeroTargets) {
     Tape t;
     Tensor one(2, 1, 1.0f);
     const int p = t.input(one);
-    EXPECT_THROW(t.mape_loss_rows(p, {1.0f, 0.0f}), std::invalid_argument);
-    EXPECT_THROW(t.mape_loss_rows(p, {1.0f}), std::invalid_argument);
+    const std::vector<float> zero_target = {1.0f, 0.0f}, too_short = {1.0f};
+    EXPECT_THROW(t.mape_loss_rows(p, zero_target), std::invalid_argument);
+    EXPECT_THROW(t.mape_loss_rows(p, too_short), std::invalid_argument);
 }
 
 TEST(Autograd, DropoutEvalIsIdentity) {

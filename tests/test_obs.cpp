@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,26 +173,27 @@ TEST_F(ObsTest, ReportJsonRoundTrip) {
     rep.phases["estimate_batch"] = st;
 
     const std::string json = rep.to_json();
-    const obs::Report back = obs::Report::from_json(json);
-    EXPECT_DOUBLE_EQ(back.wall_s, rep.wall_s);
-    EXPECT_EQ(back.jobs, rep.jobs);
-    ASSERT_EQ(back.phases.size(), 1u);
-    const obs::PhaseStats& bst = back.phases.at("estimate_batch");
-    EXPECT_EQ(bst.calls, st.calls);
-    EXPECT_DOUBLE_EQ(bst.total_s, st.total_s);
-    EXPECT_DOUBLE_EQ(bst.p50_ms, st.p50_ms);
-    EXPECT_DOUBLE_EQ(bst.p95_ms, st.p95_ms);
-    EXPECT_DOUBLE_EQ(bst.max_ms, st.max_ms);
-    EXPECT_EQ(bst.counters, st.counters);
-    // Canonical dump: serializing the round-tripped report reproduces the
+    const obs::JsonValue back = obs::JsonValue::parse(json);
+    EXPECT_EQ(back.at("schema").as_string(), "powergear-obs-v1");
+    EXPECT_DOUBLE_EQ(back.at("wall_s").as_number(), rep.wall_s);
+    EXPECT_EQ(back.at("jobs").as_number(), rep.jobs);
+    ASSERT_EQ(back.at("phases").as_object().size(), 1u);
+    const obs::JsonValue& bst = back.at("phases").at("estimate_batch");
+    EXPECT_EQ(bst.at("calls").as_number(), static_cast<double>(st.calls));
+    EXPECT_DOUBLE_EQ(bst.at("total_s").as_number(), st.total_s);
+    EXPECT_DOUBLE_EQ(bst.at("p50_ms").as_number(), st.p50_ms);
+    EXPECT_DOUBLE_EQ(bst.at("p95_ms").as_number(), st.p95_ms);
+    EXPECT_DOUBLE_EQ(bst.at("max_ms").as_number(), st.max_ms);
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto& [name, v] : bst.at("counters").as_object())
+        counters[name] = static_cast<std::uint64_t>(v.as_number());
+    EXPECT_EQ(counters, st.counters);
+    // Rates are derived: each counter over the phase's total time.
+    EXPECT_DOUBLE_EQ(bst.at("rates_per_s").at("estimates").as_number(),
+                     240 / 0.25);
+    // Canonical dump: re-serializing the parsed document reproduces the
     // exact bytes (sorted keys, shortest round-trip numbers).
-    EXPECT_EQ(back.to_json(), json);
-}
-
-TEST_F(ObsTest, ReportRejectsBadSchema) {
-    EXPECT_THROW(obs::Report::from_json("{\"schema\":\"nope\"}"),
-                 std::runtime_error);
-    EXPECT_THROW(obs::Report::from_json("not json"), std::runtime_error);
+    EXPECT_EQ(back.dump(2), json);
 }
 
 TEST_F(ObsTest, WriteReportFileParsesBack) {
@@ -206,8 +209,10 @@ TEST_F(ObsTest, WriteReportFileParsesBack) {
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
     std::fclose(f);
     std::remove(path.c_str());
-    const obs::Report back = obs::Report::from_json(text);
-    EXPECT_EQ(back.phases.at("dse").counters.at("candidates"), 5u);
+    const obs::JsonValue back = obs::JsonValue::parse(text);
+    EXPECT_EQ(
+        back.at("phases").at("dse").at("counters").at("candidates").as_number(),
+        5.0);
 }
 
 TEST(ObsJson, ParserHandlesEscapesAndNesting) {

@@ -16,6 +16,7 @@
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 using namespace powergear;
 
@@ -129,8 +130,7 @@ TEST(ParallelRuntime, TinyFanOutsSurviveCompletionRaceStress) {
         for (int c = 0; c < kCalls; ++c) {
             const std::vector<std::uint64_t> out =
                 util::parallel_map<std::uint64_t>(2, [c](std::size_t i) {
-                    return util::task_rng(static_cast<std::uint64_t>(c), i)
-                        .next_u64();
+                    return util::hash_mix(static_cast<std::uint64_t>(c), i);
                 });
             sums.push_back(out[0] ^ (out[1] * 3));
         }
@@ -157,17 +157,6 @@ TEST(ParallelRuntime, JobCountResolvesAndOverrides) {
     EXPECT_EQ(util::parallel_jobs(), 3);
     util::set_parallel_jobs(0); // back to POWERGEAR_JOBS / hardware
     EXPECT_GE(util::parallel_jobs(), 1);
-}
-
-TEST(ParallelRuntime, TaskRngStreamsAreStableAndDistinct) {
-    util::Rng a0 = util::task_rng(42, 0);
-    util::Rng a0_again = util::task_rng(42, 0);
-    util::Rng a1 = util::task_rng(42, 1);
-    util::Rng b0 = util::task_rng(43, 0);
-    const std::uint64_t v0 = a0.next_u64();
-    EXPECT_EQ(v0, a0_again.next_u64());
-    EXPECT_NE(v0, a1.next_u64());
-    EXPECT_NE(v0, b0.next_u64());
 }
 
 // --- determinism suite: jobs=1 vs jobs=4 ------------------------------------

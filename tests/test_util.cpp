@@ -56,19 +56,6 @@ TEST(Rng, DoubleInUnitInterval) {
     EXPECT_NEAR(sum / 2000.0, 0.5, 0.05);
 }
 
-TEST(Rng, GaussianMoments) {
-    Rng rng(13);
-    double sum = 0.0, sq = 0.0;
-    const int n = 5000;
-    for (int i = 0; i < n; ++i) {
-        const double v = rng.next_gaussian();
-        sum += v;
-        sq += v * v;
-    }
-    EXPECT_NEAR(sum / n, 0.0, 0.08);
-    EXPECT_NEAR(sq / n, 1.0, 0.12);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
     Rng rng(15);
     std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
