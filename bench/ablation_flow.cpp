@@ -5,11 +5,9 @@
 // claim that the construction passes, not just the conv, carry signal.
 #include "bench_common.hpp"
 #include "graphgen/features.hpp"
-#include "hls/binding.hpp"
-#include "hls/report.hpp"
-#include "hls/scheduler.hpp"
+#include "hls/flow.hpp"
 #include "kernels/polybench.hpp"
-#include "sim/interpreter.hpp"
+#include "sim/stimulus.hpp"
 
 using namespace powergear;
 
@@ -27,18 +25,15 @@ std::vector<dataset::Dataset> suite_with_flow(
         dataset::Dataset ds = dataset::generate_dataset(name, gen);
         // Rebuild every graph under the ablated flow.
         const ir::Function fn = kernels::build_polybench(name, gen.problem_size);
-        sim::Interpreter interp(fn);
         sim::StimulusProfile stim = gen.stimulus;
         stim.seed = util::hash_mix(gen.seed, std::hash<std::string>{}(fn.name));
-        sim::apply_stimulus(interp, fn, stim);
-        const sim::Trace trace = interp.run();
+        const sim::Trace trace = sim::simulate(fn, stim);
         for (dataset::Sample& s : ds.samples) {
-            const hls::ElabGraph elab = hls::elaborate(fn, s.directives);
-            const hls::Schedule sched = hls::schedule(fn, elab);
-            const hls::Binding binding = hls::bind(fn, elab, sched);
-            const sim::ActivityOracle oracle(fn, elab, trace,
-                                             sched.total_latency);
-            s.graph = graphgen::construct_graph(fn, elab, binding, oracle, flow);
+            const hls::Design d = hls::synthesize(fn, s.directives);
+            const sim::ActivityOracle oracle(fn, d.elab, trace,
+                                             d.sched.total_latency);
+            s.graph = graphgen::construct_graph(fn, d.elab, d.binding, oracle,
+                                                flow);
             s.tensors = gnn::GraphTensors::from(s.graph, s.metadata);
         }
         suite.push_back(std::move(ds));

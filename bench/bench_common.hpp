@@ -82,7 +82,10 @@ inline double hlpow_loo_mape(const std::vector<dataset::Dataset>& suite,
     std::vector<std::vector<float>> Xt;
     std::vector<float> yt;
     dataset::collect_hlpow(dataset::pool_of(suite[held_out]), kind, Xt, yt);
-    return model.evaluate_mape(Xt, yt);
+    std::vector<float> pred;
+    pred.reserve(Xt.size());
+    for (const auto& x : Xt) pred.push_back(model.predict(x));
+    return util::mape(pred, yt);
 }
 
 /// Train a PowerGear/GNN configuration on the pool; MAPE on held-out.

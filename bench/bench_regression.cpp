@@ -23,6 +23,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -368,10 +369,13 @@ int main(int argc, char** argv) {
             cfg.node_dim = p.tensors.x.cols();
             cfg.hidden = 32;
             gnn::PowerModel model(cfg);
+            const gnn::GraphTensors* one = &p.tensors;
+            const gnn::GraphBatch batch = gnn::GraphBatch::assemble(
+                std::span<const gnn::GraphTensors* const>(&one, 1));
             volatile float sink = 0.0f;
             results.push_back(run_bench("hecgnn_forward", reps, [&] {
                 nn::Tape t; // fresh per call: times arena growth too
-                sink = model.predict(p.tensors, t);
+                sink = model.predict_batch(batch, t).front();
             }));
             (void)sink;
         }

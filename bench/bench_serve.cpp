@@ -19,8 +19,7 @@
 //      b. an in-process floor (fresh PowerGear::load() + one estimate),
 //         which isolates how much of the cold cost is the model itself.
 //
-// Writes a "powergear-serve-bench-v1" JSON report for
-// scripts/update_experiments.py-style consumption and exits 0 on success,
+// Writes a "powergear-serve-bench-v1" JSON report and exits 0 on success,
 // 2 on bad usage or any benchmark failure.
 #include <unistd.h>
 

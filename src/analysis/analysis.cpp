@@ -4,23 +4,11 @@
 #include <string>
 
 #include "graphgen/features.hpp"
-#include "hls/binding.hpp"
-#include "hls/report.hpp"
-#include "sim/interpreter.hpp"
+#include "hls/flow.hpp"
 #include "sim/stimulus.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace powergear::analysis {
-
-bool checks_enabled() {
-#ifdef NDEBUG
-    static const bool on = util::env_int("POWERGEAR_CHECK", 0) != 0;
-#else
-    static const bool on = util::env_int("POWERGEAR_CHECK", 1) != 0;
-#endif
-    return on;
-}
 
 Report check_design(const ir::Function& fn, const hls::ElabGraph& elab,
                     const hls::Schedule& sched, const graphgen::Graph& graph,
@@ -46,40 +34,31 @@ Report lint_kernel(const ir::Function& fn, const LintOptions& opts) {
     }
 
     // One trace per kernel, shared across design points (as in generation).
-    sim::Interpreter interp(fn);
     sim::StimulusProfile stim;
     stim.seed = util::hash_mix(opts.seed, std::hash<std::string>{}(fn.name));
-    sim::apply_stimulus(interp, fn, stim);
-    const sim::Trace trace = interp.run();
+    const sim::Trace trace = sim::simulate(fn, stim);
 
-    const hls::ElabGraph base_elab = hls::elaborate(fn, hls::Directives{});
-    const hls::Schedule base_sched = hls::schedule(fn, base_elab);
-    const hls::Binding base_bind = hls::bind(fn, base_elab, base_sched);
-    const hls::HlsReport base_report =
-        hls::make_report(fn, base_elab, base_sched, base_bind);
+    const hls::Design base = hls::synthesize(fn, hls::Directives{});
 
     // DF004: cross-check the scheduler's recurrence analysis against the
     // IR-side dataflow derivation on the baseline elaboration.
     {
-        Report recur = check_recurrence(fn, base_elab);
+        Report recur = check_recurrence(fn, base.elab);
         recur.set_context(fn.name);
         out.merge(recur);
     }
 
     const hls::DesignSpace space(fn);
     for (const hls::Directives& dirs : space.sample(opts.design_points)) {
-        const hls::ElabGraph elab = hls::elaborate(fn, dirs);
-        const hls::Schedule sched = hls::schedule(fn, elab);
-        const hls::Binding binding = hls::bind(fn, elab, sched);
-        const hls::HlsReport report =
-            hls::make_report(fn, elab, sched, binding);
-        const sim::ActivityOracle oracle(fn, elab, trace, sched.total_latency);
+        const hls::Design d = hls::synthesize(fn, dirs);
+        const sim::ActivityOracle oracle(fn, d.elab, trace,
+                                         d.sched.total_latency);
         const graphgen::Graph graph =
-            graphgen::construct_graph(fn, elab, binding, oracle);
+            graphgen::construct_graph(fn, d.elab, d.binding, oracle);
         const gnn::GraphTensors tensors = gnn::GraphTensors::from(
-            graph, hls::metadata_features(report, base_report));
+            graph, hls::metadata_features(d.report, base.report));
 
-        Report point = check_design(fn, elab, sched, graph, tensors);
+        Report point = check_design(fn, d.elab, d.sched, graph, tensors);
         point.set_context(fn.name + "@" + dirs.to_string());
         out.merge(point);
     }

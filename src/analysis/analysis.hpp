@@ -2,8 +2,8 @@
 // same way dataset generation exercises the pipeline — IR lint on the
 // function, then per sampled design point a schedule check on the FSMD
 // schedule, a graph check on the constructed sample and a tensor check on
-// the packaged GNN input. `powergear_cli lint` and the debug-build hooks in
-// core/dataset are thin wrappers around these entry points.
+// the packaged GNN input. `powergear lint` is a thin wrapper around these
+// entry points.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +17,6 @@
 
 namespace powergear::analysis {
 
-/// True when pipeline stages should self-check their artifacts: always in
-/// debug builds, opt-in via POWERGEAR_CHECK=1 in release builds (and
-/// POWERGEAR_CHECK=0 force-disables either way). Resolved once.
-bool checks_enabled();
-
 struct LintOptions {
     int design_points = 6;   ///< directive points sampled from the space
     std::uint64_t seed = 42; ///< stimulus seed for the activity trace
@@ -32,7 +27,7 @@ struct LintOptions {
 /// An IR error short-circuits the downstream checkers.
 Report lint_kernel(const ir::Function& fn, const LintOptions& opts = {});
 
-/// Check the per-design artifacts dataset generation just produced.
+/// Check one design point's artifacts (schedule, graph, tensors).
 Report check_design(const ir::Function& fn, const hls::ElabGraph& elab,
                     const hls::Schedule& sched, const graphgen::Graph& graph,
                     const gnn::GraphTensors& tensors);

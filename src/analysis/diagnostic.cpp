@@ -61,10 +61,6 @@ const std::vector<RuleInfo>& rule_registry() {
         {"NN001", Severity::Error,
          "tensor shape disagreement inside a GraphTensors sample"},
         {"NN002", Severity::Error, "non-finite value in an input tensor"},
-        {"NN003", Severity::Error,
-         "non-finite parameter or gradient after backward"},
-        {"NN004", Severity::Error,
-         "model/sample dimension mismatch in a forward pass"},
         // --- public API configuration (core::PowerGear::Options) -----------
         {"API001", Severity::Error, "non-positive training epoch count"},
         {"API002", Severity::Error,

@@ -105,34 +105,4 @@ Report check_tensors(const GraphTensors& g) {
     return out;
 }
 
-Report check_model_inputs(int node_dim, int metadata_dim, int edge_dim,
-                          bool uses_metadata, const GraphTensors& g) {
-    Report out;
-    if (g.x.cols() != node_dim)
-        out.add("NN004", "x", -1,
-                "sample node width " + std::to_string(g.x.cols()) +
-                    " != model node_dim " + std::to_string(node_dim));
-    if (uses_metadata && g.metadata.cols() != metadata_dim)
-        out.add("NN004", "metadata", -1,
-                "sample metadata width " + std::to_string(g.metadata.cols()) +
-                    " != model metadata_dim " + std::to_string(metadata_dim));
-    if (g.edge_feat.rows() > 0 && g.edge_feat.cols() != edge_dim)
-        out.add("NN004", "edge_feat", -1,
-                "sample edge width " + std::to_string(g.edge_feat.cols()) +
-                    " != model edge_dim " + std::to_string(edge_dim));
-    return out;
-}
-
-Report check_params(const std::vector<nn::Param*>& params) {
-    Report out;
-    for (int i = 0; i < static_cast<int>(params.size()); ++i) {
-        const nn::Param* p = params[static_cast<std::size_t>(i)];
-        if (!all_finite(p->w))
-            out.add("NN003", "param", i, "non-finite weight value");
-        if (!all_finite(p->g))
-            out.add("NN003", "param", i, "non-finite gradient");
-    }
-    return out;
-}
-
 } // namespace powergear::analysis

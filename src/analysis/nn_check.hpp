@@ -1,28 +1,14 @@
-// NN-side checks: tensor shape agreement inside a GraphTensors sample,
-// finiteness of all model inputs, model/sample dimension agreement before a
-// forward pass, and finiteness of parameters + gradients after backward.
-// Rules: NN001..NN004; see rule_registry().
+// NN-side checks: tensor shape agreement inside a GraphTensors sample and
+// finiteness of all model inputs. Rules: NN001..NN002; see rule_registry().
 #pragma once
-
-#include <vector>
 
 #include "analysis/diagnostic.hpp"
 #include "gnn/convs.hpp"
-#include "nn/autograd.hpp"
 
 namespace powergear::analysis {
 
 /// Internal consistency of one packaged sample: index lists in range, per
 /// relation edge tensors matched to their index lists, finite values.
 Report check_tensors(const gnn::GraphTensors& g);
-
-/// Shape agreement between a model configuration and a sample it is about to
-/// consume (node/metadata/edge feature widths).
-Report check_model_inputs(int node_dim, int metadata_dim, int edge_dim,
-                          bool uses_metadata, const gnn::GraphTensors& g);
-
-/// Finiteness of every parameter value and accumulated gradient — run after
-/// Tape::backward to catch exploding/NaN training before it poisons weights.
-Report check_params(const std::vector<nn::Param*>& params);
 
 } // namespace powergear::analysis

@@ -2,9 +2,10 @@
 
 #include <stdexcept>
 
-#include "analysis/analysis.hpp"
+#include "analysis/diagnostic.hpp"
 #include "io/serial.hpp"
 #include "obs/obs.hpp"
+#include "util/stats.hpp"
 
 namespace powergear::core {
 
@@ -58,22 +59,12 @@ analysis::Report PowerGear::Options::validate() const {
 void PowerGear::fit(const SamplePool& train) {
     if (train.empty()) throw std::invalid_argument("PowerGear::fit: empty pool");
     // A bad config misbehaves silently (zero members, NaN weights, ...) far
-    // from its origin, so validation is unconditional — not checks_enabled().
+    // from its origin, so fit() always validates it.
     analysis::require_clean(opts_.validate(), "PowerGear::fit");
 
     std::vector<const gnn::GraphTensors*> graphs;
     std::vector<float> labels;
     dataset::collect(train, opts_.kind, graphs, labels);
-
-    // Reject malformed training samples before they poison the ensemble: a
-    // single NaN feature or out-of-range edge index corrupts every member.
-    if (analysis::checks_enabled()) {
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            analysis::Report r = analysis::check_tensors(*graphs[i]);
-            r.set_context("train sample " + std::to_string(i));
-            analysis::require_clean(r, "PowerGear::fit");
-        }
-    }
 
     gnn::EnsembleConfig ec;
     ec.model.kind = opts_.conv;
@@ -179,8 +170,12 @@ double PowerGear::evaluate_mape(const SamplePool& test) const {
     std::vector<const gnn::GraphTensors*> graphs;
     std::vector<float> labels;
     dataset::collect(test, opts_.kind, graphs, labels);
-    return ensemble_.evaluate_mape(std::span<const gnn::GraphTensors* const>(graphs),
-                                   std::span<const float>(labels));
+    const std::vector<gnn::Ensemble::Stats> stats =
+        ensemble_.predict_stats_batch(graphs);
+    std::vector<float> means;
+    means.reserve(stats.size());
+    for (const gnn::Ensemble::Stats& st : stats) means.push_back(st.mean);
+    return util::mape(means, labels);
 }
 
 } // namespace powergear::core

@@ -3,7 +3,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "analysis/analysis.hpp"
+#include "analysis/ir_lint.hpp"
 #include "graphgen/features.hpp"
 #include "hls/flow.hpp"
 #include "hlpow/features.hpp"
@@ -85,15 +85,6 @@ Sample compute_sample(const ir::Function& fn, const hls::Directives& dirs,
     smp.metadata = hls::metadata_features(design.report, base_report);
     smp.tensors = gnn::GraphTensors::from(smp.graph, smp.metadata);
     smp.powergear_runtime_s = pg_timer.seconds();
-
-    // Per-design artifact validation (schedule, graph, tensors) — debug
-    // builds and POWERGEAR_CHECK=1; kept off the timed estimation path.
-    if (analysis::checks_enabled()) {
-        analysis::Report r = analysis::check_design(
-            fn, design.elab, design.sched, smp.graph, smp.tensors);
-        r.set_context(fn.name + "@" + dirs.to_string());
-        analysis::require_clean(r, "dataset::generate_dataset_for");
-    }
 
     smp.hlpow_feats = hlpow::hlpow_features(design.elab, oracle, smp.metadata);
     smp.latency_cycles = design.report.latency_cycles;

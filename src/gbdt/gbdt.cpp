@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/stats.hpp"
+
 namespace powergear::gbdt {
 
 void Gbdt::fit(const std::vector<std::vector<float>>& X,
@@ -72,6 +74,7 @@ Gbdt fit_with_tuning(const std::vector<std::vector<float>>& X,
         }
     }
 
+    std::vector<float> pred(Xv.size());
     GbdtConfig best_cfg;
     double best_err = std::numeric_limits<double>::infinity();
     for (int trees : grid.num_trees)
@@ -81,10 +84,9 @@ Gbdt fit_with_tuning(const std::vector<std::vector<float>>& X,
                     GbdtConfig cfg{trees, depth, leaf, lr};
                     Gbdt model;
                     model.fit(Xt, yt, cfg);
-                    double err = 0.0;
                     for (std::size_t i = 0; i < Xv.size(); ++i)
-                        err += std::abs(model.predict(Xv[i]) - yv[i]) /
-                               std::max(1e-9f, std::abs(yv[i]));
+                        pred[i] = model.predict(Xv[i]);
+                    const double err = util::mape(pred, yv);
                     if (err < best_err) {
                         best_err = err;
                         best_cfg = cfg;

@@ -14,15 +14,14 @@
 //   graph_id[r]      owning graph of merged node row r (ascending)
 //   edge offsetting  merged_idx = local_idx + node_offset[graph]
 //
-// This is the model's only input form. PowerModel::predict_batch runs an
-// assembled batch (estimate_batch, training minibatches); PowerModel::
-// predict(g, tape) runs a batch of one that borrows g's tensors without
-// assembling (Ensemble::predict_stats, hence evaluate_mape).
+// This is the model's only input form: PowerModel::predict_batch runs an
+// assembled batch (estimate_batch, evaluate_mape, training minibatches), and
+// a single graph is an assembled batch of one.
 //
-// Numerics: an assembled batch of one is bit-identical to predict(g, tape);
-// in larger batches the kernels' tiling and sparsity decisions see the whole
-// batch, so per-graph results are only guaranteed within the documented
-// <=1e-5 relative envelope (DESIGN.md §10/§13).
+// Numerics: in larger batches the kernels' tiling and sparsity decisions
+// see the whole batch, so per-graph results are only guaranteed within the
+// documented <=1e-5 relative envelope of the same graph run as a batch of
+// one (DESIGN.md §10/§13).
 #pragma once
 
 #include <span>

@@ -149,16 +149,6 @@ void Ensemble::adopt(std::vector<std::unique_ptr<PowerModel>> members) {
     members_ = std::move(members);
 }
 
-Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
-    if (members_.empty())
-        throw std::logic_error("Ensemble::predict_stats before fit");
-    std::vector<float> preds;
-    preds.reserve(members_.size());
-    nn::Tape t; // one arena shared across members
-    for (const auto& m : members_) preds.push_back(m->predict(g, t));
-    return member_stats(preds.size(), [&](std::size_t m) { return preds[m]; });
-}
-
 std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
     std::span<const GraphTensors* const> graphs) const {
     if (members_.empty())
@@ -204,23 +194,6 @@ std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
                 nm, [&](std::size_t m) { return preds[c * nm + m][i]; });
     }
     return out;
-}
-
-double Ensemble::evaluate_mape(std::span<const GraphTensors* const> graphs,
-                               std::span<const float> targets) const {
-    if (graphs.size() != targets.size())
-        throw std::invalid_argument("evaluate_mape: size mismatch");
-    // Per-sample predictions are independent (predict only reads member
-    // weights); the summation below stays in index order for bit-identical
-    // results at any job count.
-    const std::vector<float> preds = util::parallel_map<float>(
-        graphs.size(),
-        [&](std::size_t i) { return predict_stats(*graphs[i]).mean; });
-    double s = 0.0;
-    for (std::size_t i = 0; i < graphs.size(); ++i)
-        s += std::abs(preds[i] - targets[i]) /
-             std::max(1e-9f, std::abs(targets[i]));
-    return graphs.empty() ? 0.0 : 100.0 * s / static_cast<double>(graphs.size());
 }
 
 } // namespace powergear::gnn

@@ -42,23 +42,15 @@ public:
     void fit(std::span<const GraphTensors* const> graphs,
              std::span<const float> targets, const EnsembleConfig& cfg);
 
-    /// Average plus member spread in one pass over the members.
-    Stats predict_stats(const GraphTensors& g) const;
-
-    /// Batched predict_stats: samples are merged into block-diagonal chunks
-    /// of at most gnn::kBatchChunk graphs (assembled once, serially) and
-    /// each member runs one fused forward per chunk; tasks fan out over
-    /// (chunk × member) with a fixed slot-ordered reduction, so results are
-    /// bit-identical at any POWERGEAR_JOBS value. Per sample this matches
-    /// predict_stats within 1e-5 relative (DESIGN.md §13).
+    /// Mean and member spread per sample, in input order: the ensemble's one
+    /// inference entry (a single design is a batch of one). Samples are
+    /// merged into block-diagonal chunks of at most gnn::kBatchChunk graphs
+    /// (assembled once, serially) and each member runs one fused forward
+    /// per chunk; tasks fan out over (chunk × member) with a fixed
+    /// slot-ordered reduction, so results are bit-identical at any
+    /// POWERGEAR_JOBS value (DESIGN.md §13).
     std::vector<Stats> predict_stats_batch(
         std::span<const GraphTensors* const> graphs) const;
-
-    /// MAPE (%) against targets. Each sample is scored as its own batch of
-    /// one; samples fan out over the parallel pool and the reduction order
-    /// stays fixed (bit-identical).
-    double evaluate_mape(std::span<const GraphTensors* const> graphs,
-                         std::span<const float> targets) const;
 
     int num_members() const { return static_cast<int>(members_.size()); }
 

@@ -1,9 +1,9 @@
 #include "gnn/model.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
-#include "analysis/analysis.hpp"
+#include "util/stats.hpp"
 
 namespace powergear::gnn {
 
@@ -67,15 +67,8 @@ std::vector<nn::Param*> PowerModel::params() {
 int PowerModel::forward(nn::Tape& t, const GraphTensors& g,
                         std::span<const int> graph_id, int num_graphs,
                         bool training) {
-    // Width checks only (per-graph shape checks happened when each sample's
-    // tensors were built). The conv layers are index-local, so they run on a
-    // block-diagonal batch unchanged; only the readout needs the graph_id
-    // segmentation.
-    if (analysis::checks_enabled()) {
-        analysis::Report r = analysis::check_model_inputs(
-            cfg_.node_dim, cfg_.metadata_dim, cfg_.edge_dim, cfg_.metadata, g);
-        analysis::require_clean(r, "PowerModel::forward");
-    }
+    // The conv layers are index-local, so they run on a block-diagonal
+    // batch unchanged; only the readout needs the graph_id segmentation.
     int h = t.input_view(g.x);
     int pooled = -1;
     for (auto& conv : convs_) {
@@ -99,16 +92,6 @@ int PowerModel::forward(nn::Tape& t, const GraphTensors& g,
         holistic = t.concat_cols(pooled, hm);
     }
     return head_->forward(t, holistic);
-}
-
-float PowerModel::predict(const GraphTensors& g, nn::Tape& t) {
-    // A batch of one that borrows g: every row belongs to graph 0. The ids
-    // only need to outlive this forward, since inference never runs
-    // backward through the tape.
-    const std::vector<int> graph_id(static_cast<std::size_t>(g.num_nodes), 0);
-    t.reset();
-    const int out = forward(t, g, graph_id, 1, /*training=*/false);
-    return t.value(out).at(0, 0);
 }
 
 std::vector<float> PowerModel::predict_batch(const GraphBatch& b,
@@ -157,11 +140,6 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
         const int loss = t.mape_loss_rows(preds, ys);
         adam_->zero_grad();
         t.backward(loss);
-        // Catch exploding/NaN gradients before the optimizer folds them into
-        // the weights, where they would quietly poison every later estimate.
-        if (analysis::checks_enabled())
-            analysis::require_clean(analysis::check_params(params()),
-                                    "PowerModel::train_epoch");
         adam_->step();
         loss_sum += t.value(loss).at(0, 0);
         ++batches;
@@ -173,20 +151,18 @@ double PowerModel::evaluate_mape(const std::vector<const GraphTensors*>& graphs,
                                  const std::vector<float>& targets) {
     if (graphs.size() != targets.size())
         throw std::invalid_argument("evaluate_mape: size mismatch");
-    if (graphs.empty()) return 0.0;
-    double s = 0.0;
+    std::vector<float> preds;
+    preds.reserve(graphs.size());
     nn::Tape t;
     const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
     for (std::size_t start = 0; start < graphs.size(); start += chunk) {
         const std::size_t n = std::min(chunk, graphs.size() - start);
         const GraphBatch b = GraphBatch::assemble(
             std::span<const GraphTensors* const>(graphs.data() + start, n));
-        const std::vector<float> preds = predict_batch(b, t);
-        for (std::size_t i = 0; i < n; ++i)
-            s += std::abs(preds[i] - targets[start + i]) /
-                 std::max(1e-9f, std::abs(targets[start + i]));
+        const std::vector<float> chunk_preds = predict_batch(b, t);
+        preds.insert(preds.end(), chunk_preds.begin(), chunk_preds.end());
     }
-    return 100.0 * s / static_cast<double>(graphs.size());
+    return util::mape(preds, targets);
 }
 
 } // namespace powergear::gnn

@@ -44,16 +44,13 @@ class PowerModel {
 public:
     explicit PowerModel(const ModelConfig& cfg);
 
-    /// Inference (no dropout) on a batch of one that borrows g (no tensor
-    /// copies); returns the power estimate in watts. Resets the caller-owned
-    /// tape first, so repeated predictions share one grown-once arena.
-    float predict(const GraphTensors& g, nn::Tape& t);
-
-    /// Fused batched inference over a pre-assembled block-diagonal batch:
-    /// one forward pass, one estimate per member graph (in batch order).
-    /// The batch must outlive the tape's use up to its next reset(). Each
-    /// result agrees with predict() on the same graph within 1e-5 relative;
-    /// a batch of one is bit-identical (DESIGN.md §13).
+    /// Inference (no dropout) over a pre-assembled block-diagonal batch: one
+    /// forward pass, one estimate in watts per member graph (in batch
+    /// order). The model's one inference entry; a single design is a batch
+    /// of one. Resets the caller-owned tape first, so repeated calls share
+    /// one grown-once arena; the batch must outlive the tape's use up to its
+    /// next reset(). Each result agrees with the same graph run as a batch
+    /// of one within 1e-5 relative (DESIGN.md §13).
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.
@@ -61,7 +58,8 @@ public:
     double train_epoch(const std::vector<const GraphTensors*>& graphs,
                        const std::vector<float>& targets, int batch_size);
 
-    /// MAPE (%) of predictions against targets.
+    /// util::mape (%) of predictions against targets; the graphs run in
+    /// chunks of at most gnn::kBatchChunk through predict_batch.
     double evaluate_mape(const std::vector<const GraphTensors*>& graphs,
                          const std::vector<float>& targets);
 

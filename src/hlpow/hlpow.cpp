@@ -1,6 +1,5 @@
 #include "hlpow/hlpow.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace powergear::hlpow {
@@ -16,16 +15,6 @@ void HlPowModel::fit(const std::vector<std::vector<float>>& features,
 float HlPowModel::predict(const std::vector<float>& features) const {
     if (!fitted_) throw std::logic_error("HlPowModel::predict before fit");
     return model_.predict(features);
-}
-
-double HlPowModel::evaluate_mape(const std::vector<std::vector<float>>& features,
-                                 const std::vector<float>& targets) const {
-    double s = 0.0;
-    for (std::size_t i = 0; i < features.size(); ++i)
-        s += std::abs(predict(features[i]) - targets[i]) /
-             std::max(1e-9f, std::abs(targets[i]));
-    return features.empty() ? 0.0
-                            : 100.0 * s / static_cast<double>(features.size());
 }
 
 } // namespace powergear::hlpow

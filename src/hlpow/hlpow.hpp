@@ -15,10 +15,6 @@ public:
 
     float predict(const std::vector<float>& features) const;
 
-    /// MAPE (%) over a test set.
-    double evaluate_mape(const std::vector<std::vector<float>>& features,
-                         const std::vector<float>& targets) const;
-
 private:
     gbdt::Gbdt model_;
     bool fitted_ = false;

@@ -12,18 +12,24 @@ double mean(const std::vector<double>& v) {
     return s / static_cast<double>(v.size());
 }
 
-double mape(const std::vector<double>& pred, const std::vector<double>& truth,
-            double eps) {
+template <typename T>
+double mape(const std::vector<T>& pred, const std::vector<T>& truth) {
     if (pred.size() != truth.size())
         throw std::invalid_argument("mape: size mismatch");
     double s = 0.0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < pred.size(); ++i) {
-        if (std::abs(truth[i]) < eps) continue;
-        s += std::abs(pred[i] - truth[i]) / std::abs(truth[i]);
+        if (std::abs(truth[i]) < 1e-9) continue;
+        const T term = std::abs(pred[i] - truth[i]) / std::abs(truth[i]);
+        s += term;
         ++n;
     }
     return n ? 100.0 * s / static_cast<double>(n) : 0.0;
 }
+
+template double mape<float>(const std::vector<float>&,
+                            const std::vector<float>&);
+template double mape<double>(const std::vector<double>&,
+                             const std::vector<double>&);
 
 } // namespace powergear::util

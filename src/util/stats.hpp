@@ -10,10 +10,16 @@ namespace powergear::util {
 /// Mean of a vector; 0 for empty input.
 double mean(const std::vector<double>& v);
 
-/// Mean absolute percentage error: mean(|pred - truth| / |truth|) * 100.
-/// Entries with |truth| < eps are skipped to avoid division blowup.
-double mape(const std::vector<double>& pred, const std::vector<double>& truth,
-            double eps = 1e-9);
+/// Mean absolute percentage error (%): 100/n * sum |pred - truth| / |truth|
+/// over the n entries with |truth| >= 1e-9; entries below that are skipped
+/// (board power labels are never near zero), and 0 is returned when none
+/// remain. Each term is computed in the element type and the terms are
+/// summed in double in index order, so float callers (model estimates
+/// against float labels) get exactly the float-term / double-sum result.
+/// Throws std::invalid_argument on a size mismatch. Defined for T = float
+/// and T = double.
+template <typename T = double>
+double mape(const std::vector<T>& pred, const std::vector<T>& truth);
 
 /// Population Hamming weight of a 32-bit value, in SWAR arithmetic.
 /// std::popcount compiles to a libgcc call (__popcountdi2) on the baseline

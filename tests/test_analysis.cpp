@@ -21,7 +21,6 @@
 #include "hls/scheduler.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
-#include "nn/autograd.hpp"
 #include "sim/activity.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/stimulus.hpp"
@@ -528,31 +527,6 @@ TEST(NnCheck, Nn002FiresOnNonFiniteInput) {
     gnn::GraphTensors u = tensors_of(build_graph(simple_kernel()));
     u.metadata.at(0, 0) = std::numeric_limits<float>::infinity();
     EXPECT_TRUE(analysis::check_tensors(u).has("NN002"));
-}
-
-TEST(NnCheck, Nn003FiresOnNonFiniteParamOrGradient) {
-    nn::Param healthy(nn::Tensor::from(1, 2, {0.5f, -0.5f}));
-    EXPECT_TRUE(analysis::check_params({&healthy}).empty());
-
-    nn::Param bad_w(nn::Tensor::from(1, 2, {kNaN, 0.0f}));
-    EXPECT_TRUE(analysis::check_params({&bad_w}).has("NN003"));
-
-    nn::Param bad_g(nn::Tensor::from(1, 2, {0.5f, -0.5f}));
-    bad_g.g.at(0, 1) = std::numeric_limits<float>::infinity();
-    EXPECT_TRUE(analysis::check_params({&bad_g}).has("NN003"));
-}
-
-TEST(NnCheck, Nn004FiresOnModelSampleDimMismatch) {
-    const gnn::GraphTensors t = tensors_of(build_graph(simple_kernel()));
-    EXPECT_TRUE(analysis::check_model_inputs(t.x.cols(), t.metadata.cols(),
-                                             graphgen::Graph::kEdgeDim, true, t)
-                    .empty());
-    EXPECT_TRUE(analysis::check_model_inputs(t.x.cols() + 1, t.metadata.cols(),
-                                             graphgen::Graph::kEdgeDim, true, t)
-                    .has("NN004"));
-    EXPECT_TRUE(analysis::check_model_inputs(t.x.cols(), t.metadata.cols() + 1,
-                                             graphgen::Graph::kEdgeDim, true, t)
-                    .has("NN004"));
 }
 
 // --- end-to-end -------------------------------------------------------------

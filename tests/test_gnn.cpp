@@ -3,12 +3,17 @@
 // switches, and ensemble behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
+#include "estimate_one.hpp"
 #include "gnn/ensemble.hpp"
 #include "ir/ir.hpp"
 #include "gnn/model.hpp"
+#include "util/stats.hpp"
 
 using namespace powergear;
 using gnn::ConvKind;
@@ -49,7 +54,16 @@ graphgen::Graph tiny_graph(float activity = 1.0f) {
 /// One inference on a fresh tape.
 float predict(PowerModel& model, const GraphTensors& g) {
     nn::Tape t;
-    return model.predict(g, t);
+    return test::predict_one(model, g, t);
+}
+
+/// Ensemble means of every graph, in order.
+std::vector<float> ensemble_means(const gnn::Ensemble& ens,
+                                  std::span<const GraphTensors* const> graphs) {
+    std::vector<float> means;
+    for (const gnn::Ensemble::Stats& st : ens.predict_stats_batch(graphs))
+        means.push_back(st.mean);
+    return means;
 }
 
 GraphTensors tiny_tensors(float activity = 1.0f, double meta = 1.0) {
@@ -179,6 +193,26 @@ TEST(PowerModel, DeterministicForSeed) {
     EXPECT_FLOAT_EQ(predict(m1, g), predict(m2, g));
 }
 
+// A model/sample width mismatch throws from the forward's shape checks
+// (Tape::matmul's inner dimension) instead of computing garbage.
+TEST(PowerModel, WidthMismatchThrowsFromForward) {
+    const GraphTensors g = tiny_tensors();
+    for (const ConvKind kind : {ConvKind::HecGnn, ConvKind::Gcn,
+                                ConvKind::Sage, ConvKind::GraphConv,
+                                ConvKind::Gine}) {
+        ModelConfig wide_nodes = tiny_config(kind);
+        wide_nodes.node_dim += 1;
+        PowerModel a(wide_nodes);
+        EXPECT_THROW(predict(a, g), std::invalid_argument)
+            << conv_kind_name(kind);
+        ModelConfig wide_meta = tiny_config(kind);
+        wide_meta.metadata_dim += 1;
+        PowerModel b(wide_meta);
+        EXPECT_THROW(predict(b, g), std::invalid_argument)
+            << conv_kind_name(kind);
+    }
+}
+
 TEST(PowerModel, RejectsUnsetNodeDim) {
     ModelConfig cfg;
     EXPECT_THROW(PowerModel m(cfg), std::invalid_argument);
@@ -204,12 +238,10 @@ TEST(Ensemble, AveragesMembersAndEvaluates) {
     ens.fit(std::span<const GraphTensors* const>(graphs),
             std::span<const float>(targets), cfg);
     EXPECT_EQ(ens.num_members(), 4); // 2 folds x 2 seeds
-    EXPECT_LT(ens.evaluate_mape(std::span<const GraphTensors* const>(graphs),
-                                std::span<const float>(targets)),
-              60.0);
+    EXPECT_LT(util::mape(ensemble_means(ens, graphs), targets), 60.0);
 
     // The mean is the member average; four members disagree a little.
-    const gnn::Ensemble::Stats st = ens.predict_stats(*graphs[0]);
+    const gnn::Ensemble::Stats st = test::stats_one(ens, *graphs[0]);
     double mean = 0.0;
     for (PowerModel* m : ens.members()) mean += predict(*m, *graphs[0]);
     EXPECT_FLOAT_EQ(st.mean, static_cast<float>(mean / ens.num_members()));
@@ -217,8 +249,8 @@ TEST(Ensemble, AveragesMembersAndEvaluates) {
 }
 
 TEST(Ensemble, VectorsConvertToSpans) {
-    // Pointer vectors flow into the span-based fit/evaluate_mape through
-    // std::span's range constructor (the PR-2 vector overloads are gone).
+    // Pointer vectors flow into the span-based fit/predict_stats_batch
+    // through std::span's range constructor.
     std::vector<GraphTensors> storage;
     std::vector<float> targets;
     for (int i = 0; i < 6; ++i) {
@@ -235,12 +267,17 @@ TEST(Ensemble, VectorsConvertToSpans) {
     gnn::Ensemble ens;
     ens.fit(graphs, targets, cfg);
     EXPECT_EQ(ens.num_members(), 2);
-    EXPECT_TRUE(std::isfinite(ens.evaluate_mape(graphs, targets)));
+    const std::vector<gnn::Ensemble::Stats> stats =
+        ens.predict_stats_batch(graphs);
+    ASSERT_EQ(stats.size(), graphs.size());
+    EXPECT_TRUE(std::isfinite(stats[0].mean));
 }
 
-// The Table I/II MAPE numbers come from Ensemble::evaluate_mape. Pin its
-// value, to the bit, to the formula 100/n * sum |mean - y| / |y| over
-// predict_stats means, accumulated in sample order.
+// The Table I/II MAPE numbers are util::mape over predict_stats_batch means
+// against float labels. Pin that, to the bit, to the float-term loop the
+// ensemble scored with before util::mape was its one MAPE:
+// 100/n * sum |mean - y| / max(1e-9f, |y|), each term in float, summed in
+// double in sample order.
 TEST(Ensemble, EvaluateMapeIsMeanRelativeErrorOfPredictStats) {
     std::vector<GraphTensors> storage;
     std::vector<float> targets;
@@ -258,13 +295,13 @@ TEST(Ensemble, EvaluateMapeIsMeanRelativeErrorOfPredictStats) {
     gnn::Ensemble ens;
     ens.fit(graphs, targets, cfg);
 
+    const std::vector<float> means = ensemble_means(ens, graphs);
     double sum = 0.0;
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-        const float mean = ens.predict_stats(*graphs[i]).mean;
-        sum += std::abs(mean - targets[i]) / std::abs(targets[i]);
-    }
+    for (std::size_t i = 0; i < graphs.size(); ++i)
+        sum += std::abs(means[i] - targets[i]) /
+               std::max(1e-9f, std::abs(targets[i]));
     const double want = 100.0 * sum / static_cast<double>(graphs.size());
-    EXPECT_EQ(ens.evaluate_mape(graphs, targets), want);
+    EXPECT_EQ(util::mape(means, targets), want);
 }
 
 TEST(Ensemble, SingleModelModeUsesValidationSplit) {
@@ -286,11 +323,11 @@ TEST(Ensemble, SingleModelModeUsesValidationSplit) {
             std::span<const float>(targets), cfg);
     EXPECT_EQ(ens.num_members(), 1);
     // A single member cannot disagree with itself.
-    EXPECT_FLOAT_EQ(ens.predict_stats(*graphs[0]).spread, 0.0f);
+    EXPECT_FLOAT_EQ(test::stats_one(ens, *graphs[0]).spread, 0.0f);
 }
 
 TEST(Ensemble, PredictBeforeFitThrows) {
     gnn::Ensemble ens;
     const GraphTensors g = tiny_tensors();
-    EXPECT_THROW(ens.predict_stats(g), std::logic_error);
+    EXPECT_THROW(test::stats_one(ens, g), std::logic_error);
 }

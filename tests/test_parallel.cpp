@@ -17,6 +17,7 @@
 #include "dataset/splits.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 using namespace powergear;
 
@@ -215,4 +216,13 @@ TEST(Determinism, TrainedWeightsAndEstimatesBitIdenticalAcrossJobCounts) {
     const double parallel_mape =
         with_jobs(4, [&] { return pg.evaluate_mape(test); });
     EXPECT_EQ(serial_mape, parallel_mape);
+
+    // evaluate_mape is util::mape over the estimate_batch means (cast back
+    // to float, which is exact) against the float labels.
+    std::vector<float> est_w, label_w;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        est_w.push_back(static_cast<float>(serial_est[i].watts));
+        label_w.push_back(test[i].label(pg.options().kind));
+    }
+    EXPECT_EQ(serial_mape, util::mape(est_w, label_w));
 }

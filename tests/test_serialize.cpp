@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <span>
 
+#include "estimate_one.hpp"
 #include "io/serial.hpp"
 #include "ir/ir.hpp"
 
@@ -57,11 +58,11 @@ TEST_P(EveryKindRoundTrip, ModelPredictionsSurviveSaveLoad) {
     members.push_back(std::make_unique<PowerModel>(small_config(GetParam())));
     ens.adopt(std::move(members));
     const GraphTensors g = probe_graph();
-    const float before = ens.predict_stats(g).mean;
+    const float before = test::stats_one(ens, g).mean;
 
     const gnn::Ensemble loaded = io::decode_ensemble(io::encode_ensemble(ens));
     ASSERT_EQ(loaded.num_members(), 1);
-    EXPECT_EQ(loaded.predict_stats(g).mean, before); // bit-exact weights
+    EXPECT_EQ(test::stats_one(loaded, g).mean, before); // bit-exact weights
     const ModelConfig& want = ens.members().front()->config();
     const ModelConfig& got = loaded.members().front()->config();
     EXPECT_EQ(static_cast<int>(got.kind), static_cast<int>(GetParam()));
@@ -105,10 +106,10 @@ TEST(Serialize, EnsembleRoundTripAveragesIdentically) {
             std::span<const float>(targets), cfg);
 
     const GraphTensors g = probe_graph();
-    const float before = ens.predict_stats(g).mean;
+    const float before = test::stats_one(ens, g).mean;
     const gnn::Ensemble loaded = io::decode_ensemble(io::encode_ensemble(ens));
     EXPECT_EQ(loaded.num_members(), ens.num_members());
-    EXPECT_EQ(loaded.predict_stats(g).mean, before);
+    EXPECT_EQ(test::stats_one(loaded, g).mean, before);
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -122,7 +123,7 @@ TEST(Serialize, FileRoundTrip) {
     const gnn::Ensemble loaded = io::load_ensemble_file(path);
     EXPECT_EQ(loaded.num_members(), 1);
     const GraphTensors g = probe_graph();
-    EXPECT_EQ(loaded.predict_stats(g).mean, ens.predict_stats(g).mean);
+    EXPECT_EQ(test::stats_one(loaded, g).mean, test::stats_one(ens, g).mean);
     std::remove(path.c_str());
     EXPECT_THROW(io::load_ensemble_file(path), std::runtime_error);
 }

@@ -71,6 +71,7 @@
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
+#include "util/stats.hpp"
 
 using namespace powergear;
 using util::cli::OptType;
@@ -314,9 +315,14 @@ int cmd_estimate(const Parsed& a) {
     const std::vector<core::Estimate> ests = pg.estimate_batch(pool);
     util::Table table({"design", "directives", "estimated_W", "spread_W",
                        "measured_W", "error_%"});
+    // watts is the widened float ensemble mean, so casting back is exact and
+    // the MAPE below equals PowerGear::evaluate_mape without a second pass.
+    std::vector<float> est_w, label_w;
     for (std::size_t i = 0; i < pool.size(); ++i) {
         const auto& s = pool[i];
-        const double truth = static_cast<double>(s.label(opts.kind));
+        est_w.push_back(static_cast<float>(ests[i].watts));
+        label_w.push_back(s.label(opts.kind));
+        const double truth = static_cast<double>(label_w.back());
         table.add_row(
             {std::to_string(s.design_index), s.directives.to_string(),
              util::Table::num(ests[i].watts, 4),
@@ -326,7 +332,7 @@ int cmd_estimate(const Parsed& a) {
                               2)});
     }
     std::printf("%s", table.to_ascii().c_str());
-    std::printf("MAPE: %.2f%%\n", pg.evaluate_mape(pool));
+    std::printf("MAPE: %.2f%%\n", util::mape(est_w, label_w));
     return 0;
 }
 
