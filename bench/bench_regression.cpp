@@ -348,6 +348,26 @@ int main(int argc, char** argv) {
                 if (c.at(0, 0) != c.at(0, 0)) std::abort();
             }));
         }
+        if (want("matmul_sparse")) {
+            // The zero-skip path on the first HEC layer's shape: a 32-graph
+            // batch's one-hot node features (2,816 x 33: a class and an
+            // opcode one-hot plus one numeric activity value per row, ~90%
+            // exact zeros) times a 33 x 16 weight.
+            const int m = 2816, k = 33, n = 16;
+            util::Rng rng(13);
+            nn::Tensor a(m, k);
+            for (int r = 0; r < m; ++r) {
+                a.at(r, r % 5) = 1.0f;
+                a.at(r, 5 + r % 24) = 1.0f;
+                a.at(r, 29 + r % 4) = rng.next_float(0.0f, 1.0f);
+            }
+            const nn::Tensor b = nn::Tensor::xavier(k, n, rng);
+            nn::Tensor c(m, n);
+            results.push_back(run_bench("matmul_sparse", reps, [&] {
+                nn::kernels::matmul(m, k, n, a.data(), b.data(), c.data());
+                if (c.at(0, 0) != c.at(0, 0)) std::abort();
+            }));
+        }
         if (want("conv_forward")) {
             // One HEC conv layer at the paper-adjacent width, tape reused
             // across iterations so the arena is grown once.
@@ -377,6 +397,30 @@ int main(int argc, char** argv) {
                 nn::Tape t; // fresh per call: times arena growth too
                 sink = model.predict_batch(batch, t).front();
             }));
+            (void)sink;
+        }
+        if (want("hecgnn_forward_batch32")) {
+            // The dse_sweep inference shape: one kBatchChunk-sized block-
+            // diagonal batch of 32 atax designs (~90 nodes each) through
+            // the default hidden-16 model, on a warm tape whose arena has
+            // reached its high-water mark.
+            dataset::GeneratorOptions gen;
+            gen.samples_per_dataset = gnn::kBatchChunk;
+            gen.problem_size = 16;
+            const dataset::Dataset ds = dataset::generate_dataset("atax", gen);
+            std::vector<const gnn::GraphTensors*> graphs;
+            for (const dataset::Sample& smp : ds.samples)
+                graphs.push_back(&smp.tensors);
+            gnn::ModelConfig cfg;
+            cfg.node_dim = graphs.front()->x.cols();
+            gnn::PowerModel model(cfg);
+            const gnn::GraphBatch batch = gnn::GraphBatch::assemble(graphs);
+            nn::Tape t;
+            volatile float sink = 0.0f;
+            results.push_back(run_bench(
+                "hecgnn_forward_batch32", reps,
+                [&] { sink = model.predict_batch(batch, t).front(); },
+                static_cast<double>(batch.num_graphs)));
             (void)sink;
         }
         if (want("gen_warm_cache")) {

@@ -16,7 +16,9 @@ void copy_rows(nn::Tensor& dst, const nn::Tensor& src, int row_offset) {
 /// Append idx + offset to out.
 void append_offset(std::vector<int>& out, const std::vector<int>& idx,
                    int offset) {
-    for (const int v : idx) out.push_back(v + offset);
+    const std::size_t at = out.size();
+    out.insert(out.end(), idx.begin(), idx.end());
+    for (std::size_t i = at; i < out.size(); ++i) out[i] += offset;
 }
 
 } // namespace
@@ -64,6 +66,16 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
     m.gcn_dst.reserve(static_cast<std::size_t>(total_gcn));
     m.gcn_norm.reserve(static_cast<std::size_t>(total_gcn));
     m.inv_in_degree.reserve(static_cast<std::size_t>(total_nodes));
+    auto reserve_csr = [total_nodes](nn::Csr& c, int edges) {
+        c.ptr.reserve(static_cast<std::size_t>(total_nodes) + 1);
+        c.ids.reserve(static_cast<std::size_t>(edges));
+    };
+    for (std::size_t rel = 0; rel < rel_edges.size(); ++rel) {
+        reserve_csr(m.rel_by_dst[rel], rel_edges[rel]);
+        reserve_csr(m.rel_by_src[rel], rel_edges[rel]);
+    }
+    reserve_csr(m.by_dst, total_edges);
+    reserve_csr(m.by_src, total_edges);
 
     int offset = 0;
     std::array<int, graphgen::Graph::kNumRelations> rel_at{};
@@ -80,11 +92,15 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
             append_offset(m.rel_src[rel], g.rel_src[rel], offset);
             append_offset(m.rel_dst[rel], g.rel_dst[rel], offset);
             copy_rows(m.rel_edge_feat[rel], g.rel_edge_feat[rel], rel_at[rel]);
+            m.rel_by_dst[rel].append(g.rel_by_dst[rel], rel_at[rel]);
+            m.rel_by_src[rel].append(g.rel_by_src[rel], rel_at[rel]);
             rel_at[rel] += g.rel_edge_feat[rel].rows();
         }
         append_offset(m.src, g.src, offset);
         append_offset(m.dst, g.dst, offset);
         copy_rows(m.edge_feat, g.edge_feat, edge_at);
+        m.by_dst.append(g.by_dst, edge_at);
+        m.by_src.append(g.by_src, edge_at);
         edge_at += g.edge_feat.rows();
 
         append_offset(m.gcn_src, g.gcn_src, offset);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 
 namespace powergear::gnn {
@@ -24,30 +25,37 @@ GraphTensors GraphTensors::from(const Graph& g,
         out.metadata.at(0, c) =
             static_cast<float>(std::log1p(std::max(0.0, metadata[static_cast<std::size_t>(c)])));
 
-    // Per-relation and flat edge views.
-    std::array<std::vector<std::array<float, Graph::kEdgeDim>>,
-               Graph::kNumRelations>
-        rel_feats;
-    std::vector<std::array<float, Graph::kEdgeDim>> flat_feats;
-    for (const Graph::Edge& e : g.edges) {
-        out.rel_src[static_cast<std::size_t>(e.relation)].push_back(e.src);
-        out.rel_dst[static_cast<std::size_t>(e.relation)].push_back(e.dst);
-        rel_feats[static_cast<std::size_t>(e.relation)].push_back(e.feat);
+    // Per-relation and flat edge views, sized up front.
+    const int num_edges = static_cast<int>(g.edges.size());
+    std::array<int, Graph::kNumRelations> rel_count{};
+    for (const Graph::Edge& e : g.edges)
+        ++rel_count[static_cast<std::size_t>(e.relation)];
+    for (std::size_t rel = 0; rel < rel_count.size(); ++rel) {
+        out.rel_src[rel].reserve(static_cast<std::size_t>(rel_count[rel]));
+        out.rel_dst[rel].reserve(static_cast<std::size_t>(rel_count[rel]));
+        out.rel_edge_feat[rel] = Tensor(rel_count[rel], Graph::kEdgeDim);
+    }
+    out.src.reserve(g.edges.size());
+    out.dst.reserve(g.edges.size());
+    out.edge_feat = Tensor(num_edges, Graph::kEdgeDim);
+    for (int i = 0; i < num_edges; ++i) {
+        const Graph::Edge& e = g.edges[static_cast<std::size_t>(i)];
+        const auto rel = static_cast<std::size_t>(e.relation);
+        const int at = static_cast<int>(out.rel_src[rel].size());
+        std::memcpy(out.rel_edge_feat[rel].row(at), e.feat.data(),
+                    sizeof e.feat);
+        std::memcpy(out.edge_feat.row(i), e.feat.data(), sizeof e.feat);
+        out.rel_src[rel].push_back(e.src);
+        out.rel_dst[rel].push_back(e.dst);
         out.src.push_back(e.src);
         out.dst.push_back(e.dst);
-        flat_feats.push_back(e.feat);
     }
-    auto to_tensor = [](const std::vector<std::array<float, Graph::kEdgeDim>>& f) {
-        Tensor t(static_cast<int>(f.size()), Graph::kEdgeDim);
-        for (int r = 0; r < t.rows(); ++r)
-            for (int c = 0; c < Graph::kEdgeDim; ++c)
-                t.at(r, c) = f[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
-        return t;
-    };
-    for (int rel = 0; rel < Graph::kNumRelations; ++rel)
-        out.rel_edge_feat[static_cast<std::size_t>(rel)] =
-            to_tensor(rel_feats[static_cast<std::size_t>(rel)]);
-    out.edge_feat = to_tensor(flat_feats);
+    for (std::size_t rel = 0; rel < rel_count.size(); ++rel) {
+        out.rel_by_dst[rel] = nn::Csr::group(out.rel_dst[rel], g.num_nodes);
+        out.rel_by_src[rel] = nn::Csr::group(out.rel_src[rel], g.num_nodes);
+    }
+    out.by_dst = nn::Csr::group(out.dst, g.num_nodes);
+    out.by_src = nn::Csr::group(out.src, g.num_nodes);
 
     // GCN view: symmetrized edges + self loops with 1/sqrt(d_u d_v) norms.
     std::vector<int> deg(static_cast<std::size_t>(g.num_nodes), 1); // self loop
@@ -55,6 +63,11 @@ GraphTensors GraphTensors::from(const Graph& g,
         ++deg[static_cast<std::size_t>(e.src)];
         ++deg[static_cast<std::size_t>(e.dst)];
     }
+    const std::size_t gcn_edges =
+        2 * g.edges.size() + static_cast<std::size_t>(g.num_nodes);
+    out.gcn_src.reserve(gcn_edges);
+    out.gcn_dst.reserve(gcn_edges);
+    out.gcn_norm.reserve(gcn_edges);
     auto push_gcn = [&](int s, int d) {
         out.gcn_src.push_back(s);
         out.gcn_dst.push_back(d);
@@ -94,43 +107,34 @@ HecConv::HecConv(int in, int out, int edge_dim, bool edge_features,
 }
 
 int HecConv::forward(Tape& t, const GraphTensors& g, int h) {
-    int agg = -1;
+    std::array<Tape::AggTerm, Graph::kNumRelations> terms{};
+    std::size_t num_terms = 0;
     const int num_rel = heterogeneous_ ? Graph::kNumRelations : 1;
     for (int rel = 0; rel < num_rel; ++rel) {
-        const std::vector<int>& srcs = heterogeneous_
-                                           ? g.rel_src[static_cast<std::size_t>(rel)]
-                                           : g.src;
-        const std::vector<int>& dsts = heterogeneous_
-                                           ? g.rel_dst[static_cast<std::size_t>(rel)]
-                                           : g.dst;
+        const auto r = static_cast<std::size_t>(rel);
+        const std::vector<int>& srcs = heterogeneous_ ? g.rel_src[r] : g.src;
         if (srcs.empty()) continue;
 
         int msg;
         if (edge_features_) {
-            const Tensor& ef = heterogeneous_
-                                   ? g.rel_edge_feat[static_cast<std::size_t>(rel)]
-                                   : g.edge_feat;
+            const Tensor& ef =
+                heterogeneous_ ? g.rel_edge_feat[r] : g.edge_feat;
             msg = t.matmul(t.input_view(ef), t.param(&w_e));
         } else {
             // w/o e.f.: aggregate transformed neighbor embeddings instead,
             // via the fused gather+matmul kernel (no materialized gather).
             msg = t.gather_matmul(h, std::span<const int>(srcs), t.param(&w_e));
         }
-        msg = t.matmul(msg, t.param(&w_r[static_cast<std::size_t>(rel)]));
-
-        int scattered =
-            t.scatter_add_rows(msg, std::span<const int>(dsts), g.num_nodes);
-        if (!directed_) {
-            // w/o dir.: edges also deliver their message to the source side.
-            scattered = t.add(
-                scattered,
-                t.scatter_add_rows(msg, std::span<const int>(srcs), g.num_nodes));
-        }
-        agg = agg < 0 ? scattered : t.add(agg, scattered);
+        msg = t.matmul(msg, t.param(&w_r[r]));
+        // w/o dir.: edges also deliver their message to the source side.
+        terms[num_terms++] = {
+            msg, heterogeneous_ ? &g.rel_by_dst[r] : &g.by_dst,
+            directed_ ? nullptr : heterogeneous_ ? &g.rel_by_src[r] : &g.by_src};
     }
 
-    int self = w_v.forward(t, h);
-    return t.relu(agg < 0 ? self : t.add(self, agg));
+    const int self = w_v.forward(t, h);
+    return t.aggregate_relu(
+        self, std::span<const Tape::AggTerm>(terms.data(), num_terms));
 }
 
 void HecConv::collect(std::vector<nn::Param*>& out) {

@@ -2,7 +2,8 @@
 //
 // HecConv implements the paper's heterogeneous edge-centric aggregation
 // (Eq. 4/5): node update W_V h_v plus, per relation r, messages
-// W_r (W_E e_uvr) scatter-added into sink nodes. The global W_E fits the
+// W_r (W_E e_uvr) summed into sink nodes — one fused Tape::aggregate_relu
+// over the in-edge CSR, no per-relation buffer. The global W_E fits the
 // V^2 f term and the relation-specific W_r fit the relation-conditioned
 // interconnect capacitance C_r — the power-formula-shaped inductive bias.
 // Ablation switches degrade it to the paper's w/o e.f. / w/o dir. /
@@ -33,6 +34,12 @@ struct GraphTensors {
     // Flat directed view (relation-agnostic models / w/o hetr.).
     std::vector<int> src, dst;
     nn::Tensor edge_feat; ///< (E, 4)
+
+    // Edge ids grouped by sink node (in-edges) and by source node (the
+    // w/o dir. side), per relation and for the flat view: the index
+    // HecConv's fused aggregation walks.
+    std::array<nn::Csr, graphgen::Graph::kNumRelations> rel_by_dst, rel_by_src;
+    nn::Csr by_dst, by_src;
 
     // Symmetrized + self-loop view with GCN normalization coefficients.
     std::vector<int> gcn_src, gcn_dst;

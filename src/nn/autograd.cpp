@@ -213,6 +213,84 @@ int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
     });
 }
 
+Csr Csr::group(std::span<const int> key, int num_keys) {
+    Csr c;
+    c.ptr.assign(static_cast<std::size_t>(num_keys) + 1, 0);
+    for (const int v : key) {
+        if (v < 0 || v >= num_keys)
+            throw std::invalid_argument("Csr::group: key out of range");
+        ++c.ptr[static_cast<std::size_t>(v) + 1];
+    }
+    for (std::size_t v = 0; v < static_cast<std::size_t>(num_keys); ++v)
+        c.ptr[v + 1] += c.ptr[v];
+    // ptr[v] serves as key v's fill cursor, which leaves it at ptr[v + 1];
+    // shifting the array up one slot restores the offsets.
+    c.ids.resize(key.size());
+    for (std::size_t r = 0; r < key.size(); ++r) {
+        int& slot = c.ptr[static_cast<std::size_t>(key[r])];
+        c.ids[static_cast<std::size_t>(slot++)] = static_cast<int>(r);
+    }
+    for (std::size_t v = static_cast<std::size_t>(num_keys); v > 0; --v)
+        c.ptr[v] = c.ptr[v - 1];
+    c.ptr[0] = 0;
+    return c;
+}
+
+void Csr::append(const Csr& other, int row_offset) {
+    if (ptr.empty()) ptr.push_back(0);
+    if (other.ptr.empty()) return;
+    const int base = static_cast<int>(ids.size());
+    const std::size_t p0 = ptr.size();
+    ptr.insert(ptr.end(), other.ptr.begin() + 1, other.ptr.end());
+    for (std::size_t v = p0; v < ptr.size(); ++v) ptr[v] += base;
+    const std::size_t i0 = ids.size();
+    ids.insert(ids.end(), other.ids.begin(), other.ids.end());
+    for (std::size_t i = i0; i < ids.size(); ++i) ids[i] += row_offset;
+}
+
+int Tape::aggregate_relu(int self, std::span<const AggTerm> terms) {
+    const Tensor& sv = value(self);
+    const int rows = sv.rows(), cols = sv.cols();
+    const std::size_t nt = terms.size();
+    std::vector<int> msgs(nt);
+    std::vector<k::AggRelation> rels(nt);
+    std::vector<const float*> msg_data(nt);
+    auto fits = [rows](const Csr* c, int edges) {
+        return c->ptr.size() == static_cast<std::size_t>(rows) + 1 &&
+               c->ids.size() == static_cast<std::size_t>(edges);
+    };
+    for (std::size_t r = 0; r < nt; ++r) {
+        const AggTerm& term = terms[r];
+        const Tensor& mv = value(term.msg);
+        if (mv.cols() != cols || !fits(term.by_dst, mv.rows()) ||
+            (term.by_src && !fits(term.by_src, mv.rows())))
+            throw std::invalid_argument("Tape::aggregate_relu: shape mismatch");
+        msgs[r] = term.msg;
+        msg_data[r] = mv.data();
+        rels[r].in_ptr = term.by_dst->ptr.data();
+        rels[r].in_ids = term.by_dst->ids.data();
+        if (term.by_src) {
+            rels[r].out_ptr = term.by_src->ptr.data();
+            rels[r].out_ids = term.by_src->ids.data();
+        }
+    }
+    Tensor out = make(rows, cols);
+    k::aggregate_relu(rows, cols, sv.data(), static_cast<int>(nt), rels.data(),
+                      msg_data.data(), out.data());
+    return push(std::move(out), [self, msgs = std::move(msgs),
+                                 rels = std::move(rels)](Tape& t, int node) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(node)].grad;
+        if (g.empty()) return;
+        std::vector<float*> dmsg(msgs.size());
+        for (std::size_t r = 0; r < msgs.size(); ++r)
+            dmsg[r] = t.grad_buf(msgs[r]).data();
+        k::aggregate_relu_backward(g.rows(), g.cols(), t.value(node).data(),
+                                   g.data(), static_cast<int>(msgs.size()),
+                                   rels.data(), t.grad_buf(self).data(),
+                                   dmsg.data());
+    });
+}
+
 int Tape::scale_rows(int x, std::span<const float> weights) {
     const Tensor& xv = value(x);
     if (static_cast<int>(weights.size()) != xv.rows())

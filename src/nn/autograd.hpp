@@ -41,6 +41,19 @@ struct Param {
     void zero_grad() { g.fill(0.0f); }
 };
 
+/// Row ids grouped by key in CSR form: key v owns ids[ptr[v] .. ptr[v+1]),
+/// in ascending row order (the index aggregate_relu walks).
+struct Csr {
+    std::vector<int> ptr; ///< (num_keys + 1) offsets
+    std::vector<int> ids; ///< row ids, grouped by key
+
+    /// Group rows 0..key.size()-1 under key[r] in [0, num_keys), stable in r.
+    static Csr group(std::span<const int> key, int num_keys);
+    /// Concatenate block-diagonally: other's keys follow this one's, and its
+    /// row ids shift by row_offset. Equals group() over the concatenated keys.
+    void append(const Csr& other, int row_offset);
+};
+
 class Tape {
 public:
     Tape() = default;
@@ -83,6 +96,21 @@ public:
     int scatter_add_rows(int x, std::span<const int> idx, int out_rows);
     /// Row-wise scaling by fixed per-row weights (e.g. GCN normalization).
     int scale_rows(int x, std::span<const float> weights);
+    /// One relation term of aggregate_relu: an (E_r, d) message node, its
+    /// rows grouped by sink node, and for the undirected variant also by
+    /// source node (nullptr when directed). Both groupings are borrowed,
+    /// with input_view's lifetime contract.
+    struct AggTerm {
+        int msg;
+        const Csr* by_dst;
+        const Csr* by_src = nullptr;
+    };
+    /// Fused HEC-GNN node update relu(self + Σ_r s_r), where s_r[v] sums
+    /// the message rows grouped under v (both sides when by_src is set).
+    /// One pass, no per-relation buffer; bit-identical to scatter_add_rows
+    /// per side, add of the two sides, an add fold over the terms in order,
+    /// add(self, ·) and relu — forward and backward.
+    int aggregate_relu(int self, std::span<const AggTerm> terms);
     int concat_cols(int a, int b);
     /// Segmented column-wise sum: (n,d) -> (num_segs,d), row r accumulated
     /// into output row seg[r] in ascending row order; the sum-pooling

@@ -70,6 +70,22 @@ void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
     ops().segment_sum_backward(rows, cols, g, seg, dx);
 }
 
+// --- fused heterogeneous aggregation + ReLU ----------------------------------
+
+void aggregate_relu(int rows, int cols, const float* self, int num_rels,
+                    const AggRelation* rels, const float* const* msg,
+                    float* y) {
+    ops().aggregate_relu(rows, cols, self, num_rels, rels, msg, y);
+}
+
+void aggregate_relu_backward(int rows, int cols, const float* y,
+                             const float* g, int num_rels,
+                             const AggRelation* rels, float* dself,
+                             float* const* dmsg) {
+    ops().aggregate_relu_backward(rows, cols, y, g, num_rels, rels, dself,
+                                  dmsg);
+}
+
 // --- fused elementwise epilogues ---------------------------------------------
 // ISA-invariant in results (pure adds/compares, identical in every
 // translation unit); routed through the ISA table purely for vector width.

@@ -63,6 +63,33 @@ void segment_sum(int rows, int cols, const float* x, const int* seg,
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
 
+// --- fused heterogeneous aggregation + ReLU (HEC-GNN node update) ------------
+// One relation's rows of messages msg_r(E_r, cols), grouped by node in CSR
+// form: node v's sink-side rows are in_ids[in_ptr[v] .. in_ptr[v+1]) and, for
+// the undirected variant, its source-side rows are out_ids[out_ptr[v] ..
+// out_ptr[v+1]) (both null when directed). Row ids ascend within a node.
+struct AggRelation {
+    const int* in_ptr = nullptr;
+    const int* in_ids = nullptr;
+    const int* out_ptr = nullptr;
+    const int* out_ids = nullptr;
+};
+/// y(rows,cols) = max(0, self + fold_r s_r), where s_r[v] sums msg_r's rows
+/// grouped under v from +0.0f in ascending row id (sink side, plus the
+/// separately summed source side when out_ptr is set) and the fold adds the
+/// relations in ascending r; num_rels == 0 gives max(0, self). Pure adds
+/// and compares: ISA-invariant in results.
+void aggregate_relu(int rows, int cols, const float* self, int num_rels,
+                    const AggRelation* rels, const float* const* msg,
+                    float* y);
+/// Backward of aggregate_relu with G = g ∘ [y > 0]: dself += G, then for
+/// every relation dmsg_r[e] += G[v] over the source-side grouping, then over
+/// the sink-side one.
+void aggregate_relu_backward(int rows, int cols, const float* y,
+                             const float* g, int num_rels,
+                             const AggRelation* rels, float* dself,
+                             float* const* dmsg);
+
 // --- fused elementwise epilogues (ISA-invariant) -----------------------------
 /// y(rows,cols) = x + bias with bias(1,cols) broadcast over rows.
 void add_bias(int rows, int cols, const float* x, const float* bias, float* y);

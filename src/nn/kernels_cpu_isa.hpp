@@ -18,6 +18,8 @@
 
 #include <cstddef>
 
+#include "nn/kernels_cpu.hpp"
+
 namespace powergear::nn::kernels {
 
 struct BlockedOps {
@@ -58,6 +60,15 @@ struct BlockedOps {
                         int num_segs, float* out);
     void (*segment_sum_backward)(int rows, int cols, const float* g,
                                  const int* seg, float* dx);
+    // Fused heterogeneous aggregation + ReLU, forward and backward: pure
+    // adds and compares, identical in both translation units.
+    void (*aggregate_relu)(int rows, int cols, const float* self,
+                           int num_rels, const AggRelation* rels,
+                           const float* const* msg, float* y);
+    void (*aggregate_relu_backward)(int rows, int cols, const float* y,
+                                    const float* g, int num_rels,
+                                    const AggRelation* rels, float* dself,
+                                    float* const* dmsg);
 };
 
 /// Blocked kernels compiled at the build's baseline ISA. Always available.

@@ -11,16 +11,20 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "axpy_ref.hpp"
 #include "kernels_ref.hpp"
+#include "nn/autograd.hpp"
 #include "nn/kernels_cpu.hpp"
 #include "nn/kernels_cpu_isa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 using namespace powergear::nn::kernels;
+using powergear::nn::Csr;
 using powergear::util::Rng;
 
 namespace {
@@ -113,6 +117,8 @@ const BlockedOps kDispatched = {
     .vacc = vacc,
     .segment_sum = segment_sum,
     .segment_sum_backward = segment_sum_backward,
+    .aggregate_relu = aggregate_relu,
+    .aggregate_relu_backward = aggregate_relu_backward,
 };
 
 /// Call the kernels of `o` on fixed random inputs and return every output.
@@ -159,6 +165,19 @@ std::vector<std::vector<float>> exercise(const BlockedOps& o,
     o.vacc(mn, bm.data(), out(mn));
     o.segment_sum(m, n, bm.data(), seg.data(), segs, out(sn));
     o.segment_sum_backward(m, k, bt.data(), seg.data(), out(mk));
+    // Two relations over the m rows of a and bm as messages (34 columns:
+    // two full 16-wide blocks plus a tail), the second one undirected.
+    const Csr by_seg = Csr::group(seg, m);
+    const Csr by_idx = Csr::group(idx, m);
+    const AggRelation rels[2] = {
+        {by_seg.ptr.data(), by_seg.ids.data(), nullptr, nullptr},
+        {by_idx.ptr.data(), by_idx.ids.data(), by_seg.ptr.data(),
+         by_seg.ids.data()}};
+    const float* msgs[2] = {bm.data(), y};
+    float* agg = out(mn);
+    o.aggregate_relu(m, n, bm.data(), 2, rels, msgs, agg);
+    float* dmsg[2] = {out(mn), out(mn)};
+    o.aggregate_relu_backward(m, n, agg, bm.data(), 2, rels, out(mn), dmsg);
     if (fma_free_only) return outs;
 
     o.matmul(m, k, n, a.data(), b.data(), out(mn));
@@ -533,4 +552,140 @@ TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
     util::set_parallel_jobs(0);
     for (std::size_t t = 0; t < serial.size(); ++t)
         EXPECT_EQ(serial[t], pooled[t]) << "task " << t;
+}
+
+// --- zero-skip register blocks (DESIGN.md §10) --------------------------------
+
+namespace {
+
+/// (m, k) values in [-1, 1] with exactly round(zero_frac * k) exact zeros
+/// per row — at least half, so the library's zero scan takes the axpy path —
+/// and a sprinkle of -0.0f among the rest.
+std::vector<float> zero_heavy(Rng& rng, int m, int k, double zero_frac) {
+    std::vector<float> a(static_cast<std::size_t>(m) * k);
+    const int zeros = static_cast<int>(std::lround(zero_frac * k));
+    for (int i = 0; i < m; ++i) {
+        std::vector<int> cols(static_cast<std::size_t>(k));
+        for (int p = 0; p < k; ++p) cols[static_cast<std::size_t>(p)] = p;
+        rng.shuffle(cols);
+        for (int q = 0; q < k; ++q) {
+            float v = rng.next_float(-1.0f, 1.0f);
+            if (q < zeros) v = 0.0f;
+            else if (rng.next_double() < 0.05) v = -0.0f;
+            a[static_cast<std::size_t>(i) * k +
+              static_cast<std::size_t>(cols[static_cast<std::size_t>(q)])] = v;
+        }
+    }
+    return a;
+}
+
+/// Nonzero starting C, with -0.0f entries, so the Acc forms are visible.
+std::vector<float> start_values(std::size_t len) {
+    std::vector<float> c(len);
+    for (std::size_t i = 0; i < len; ++i)
+        c[i] = i % 11 == 0 ? -0.0f : 0.25f * static_cast<float>(i % 7) - 0.5f;
+    return c;
+}
+
+void expect_bits(const std::vector<float>& want, const std::vector<float>& got,
+                 const std::string& what) {
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0)
+            << what << " differs at flat index " << i << ": " << want[i]
+            << " vs " << got[i];
+}
+
+struct IsaPaths {
+    IsaTable table;
+    const powergear::nn::kernels::axpy_ref::AxpyPaths* paths;
+};
+
+/// Each compiled library table paired with the axpy_ref paths built under
+/// the same ISA flags.
+std::vector<IsaPaths> tables_with_axpy_paths() {
+    namespace ar = powergear::nn::kernels::axpy_ref;
+    std::vector<IsaPaths> out;
+    for (const IsaTable& t : compiled_tables()) {
+        const ar::AxpyPaths* p = &ar::paths_generic();
+#if defined(__x86_64__)
+        if (std::string(t.name) == "avx2") p = &ar::paths_avx2();
+#endif
+        out.push_back({t, p});
+    }
+    return out;
+}
+
+} // namespace
+
+// The zero-skip path keeps each 16-column block of a C row in registers and
+// stores it once. Per element it runs the same ascending-p multiply-add
+// sequence as the memory accumulator it replaced, so it must match a copy of
+// that accumulator compiled under the same ISA flags bit for bit — plain
+// and gathered A, overwrite and accumulate, full blocks and column tails —
+// and so must every library table that routes a mostly-zero A through it.
+TEST(KernelsCpu, ZeroSkipRegisterBlocksMatchMemoryAccumulatorBitExactly) {
+    const int m = 37, k = 33, e = 45;
+    for (const IsaPaths& ip : tables_with_axpy_paths()) {
+        const auto& paths = *ip.paths;
+        const std::string isa = ip.table.name;
+        Rng rng(71);
+        for (const int n : {16, 32, 20, 5}) {
+            for (const double zf : {0.5, 0.7, 0.95}) {
+                const std::string tag = isa + " n=" + std::to_string(n) +
+                                        " zeros=" + std::to_string(zf);
+                const auto a = zero_heavy(rng, m, k, zf);
+                auto b = random_values(rng, static_cast<std::size_t>(k) * n);
+                b[3] = -0.0f;
+                const auto idx =
+                    random_indices(rng, static_cast<std::size_t>(e), m);
+                const std::size_t mn = static_cast<std::size_t>(m) * n;
+                const std::size_t en = static_cast<std::size_t>(e) * n;
+
+                for (const int acc : {0, 1}) {
+                    const std::string what =
+                        tag + (acc ? " acc" : " overwrite");
+                    auto want = start_values(mn), got = start_values(mn);
+                    paths.plain_mem[acc](m, k, n, a.data(), b.data(),
+                                         want.data());
+                    paths.plain[acc](m, k, n, a.data(), b.data(), got.data());
+                    expect_bits(want, got, "plain " + what);
+
+                    auto gwant = start_values(en), ggot = start_values(en);
+                    paths.gathered_mem[acc](e, k, n, a.data(), idx.data(),
+                                            b.data(), gwant.data());
+                    paths.gathered[acc](e, k, n, a.data(), idx.data(),
+                                        b.data(), ggot.data());
+                    expect_bits(gwant, ggot, "gathered " + what);
+                }
+
+                // The shipped table: matmul and gather_matmul overwrite,
+                // matmul_nt_acc accumulates a·btᵀ through the same path.
+                std::vector<float> want(mn), got(mn, 9.0f);
+                paths.plain_mem[0](m, k, n, a.data(), b.data(), want.data());
+                ip.table.ops->matmul(m, k, n, a.data(), b.data(), got.data());
+                expect_bits(want, got, "table matmul " + tag);
+
+                std::vector<float> gwant(en), ggot(en, 9.0f);
+                paths.gathered_mem[0](e, k, n, a.data(), idx.data(), b.data(),
+                                      gwant.data());
+                ip.table.ops->gather_matmul(e, k, n, a.data(), idx.data(),
+                                            b.data(), ggot.data());
+                expect_bits(gwant, ggot, "table gather_matmul " + tag);
+
+                std::vector<float> bt(static_cast<std::size_t>(n) * k);
+                for (int p = 0; p < k; ++p)
+                    for (int j = 0; j < n; ++j)
+                        bt[static_cast<std::size_t>(j) * k +
+                           static_cast<std::size_t>(p)] =
+                            b[static_cast<std::size_t>(p) * n +
+                              static_cast<std::size_t>(j)];
+                auto nwant = start_values(mn), ngot = start_values(mn);
+                paths.plain_mem[1](m, k, n, a.data(), b.data(), nwant.data());
+                ip.table.ops->matmul_nt_acc(m, k, n, a.data(), bt.data(),
+                                            ngot.data());
+                expect_bits(nwant, ngot, "table matmul_nt_acc " + tag);
+            }
+        }
+    }
 }
